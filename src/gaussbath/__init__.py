@@ -18,12 +18,8 @@ from .analysis import (
 from .dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
-    drift_matrix,
     evolve_closed,
-    evolve_rk4,
     propagator,
-    solve_lyapunov,
-    thermal_diffusion,
 )
 from .errors import (
     DomainError,
@@ -31,10 +27,8 @@ from .errors import (
     InvalidInput,
     InvalidParams,
     NonPhysical,
-    SingularMatrix,
     ThresholdInconsistency,
 )
-from .linalg import det2, det3, det4, expm_generic, solve_linear
 from .states import (
     Branch,
     CovarianceMatrix,
@@ -67,7 +61,6 @@ __all__ = [
     "InvalidParams",
     "MeasuredMode",
     "NonPhysical",
-    "SingularMatrix",
     "SqueezedThermalParams",
     "SweepRow",
     "SweepTable",
@@ -79,14 +72,8 @@ __all__ = [
     "blocks",
     "build_squeezed_thermal",
     "classify_threshold",
-    "det2",
-    "det3",
-    "det4",
     "discord_invariants",
-    "drift_matrix",
     "evolve_closed",
-    "evolve_rk4",
-    "expm_generic",
     "f_entropy",
     "gaussian_discord",
     "is_physical",
@@ -94,11 +81,8 @@ __all__ = [
     "ppt_g",
     "propagator",
     "separability_threshold_r",
-    "solve_linear",
-    "solve_lyapunov",
     "sudden_death_time",
     "sweep",
     "symplectic_spectrum",
-    "thermal_diffusion",
     "trajectory",
 ]

@@ -154,7 +154,10 @@ def sudden_death_time(
         raise InvalidInput("initial state is separable; there is no entanglement to lose")
 
     def h(t: float) -> float:
-        return 4.0 * ppt_g(evolve_closed(s0, p, t)) - 1.0
+        try:
+            return 4.0 * ppt_g(evolve_closed(s0, p, t)) - 1.0
+        except GaussBathError as exc:
+            raise type(exc)(f"at t={t:g}, T={p.temperature:g}: {exc}") from exc
 
     step = t_max / _SCAN_POINTS
     lo, h_lo = 0.0, -1.0  # h(0) < 0 since the initial state is entangled

@@ -13,7 +13,8 @@ is CSV or JSON with a fixed column order and 12 significant digits, so
 identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (with the failing grid cell
-named), 2 usage error.
+named), 2 usage error (a bad flag or config value, or a parameter the
+library rejects, such as a non-finite one).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .analysis import sudden_death_time, sweep, trajectory
 from .dynamics import EnvironmentParams
-from .errors import GaussBathError
+from .errors import GaussBathError, InvalidParams
 from .states import MeasuredMode, SqueezedThermalParams, build_squeezed_thermal
 
 
@@ -344,7 +345,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(argv)
-    except UsageError as exc:
+    except (UsageError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse errors (exit 2) and --help (exit 0)

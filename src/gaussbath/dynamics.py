@@ -6,21 +6,19 @@ linear matrix equation
     d sigma / dt = Y sigma + sigma Y^T + 2 D,
 
 with a block-diagonal drift Y (per-mode blocks [[-lam, 1/m], [-m w^2, -lam]])
-and a diffusion matrix D.  For a bath in thermal equilibrium at temperature
-T the diffusion is diagonal with coth(w / 2T) weights and the stationary
-state is the Gibbs state of the two oscillators.
+and a diagonal diffusion matrix D with coth(w / 2T) weights.  Because the
+bath is in thermal equilibrium, the stationary state is the Gibbs state of
+the two oscillators, diag(coth(w/2T)/(2 m w), m w coth(w/2T)/2) per mode.
 
 The closed-form solution
 
     sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf,
     M(t) = exp(Y t),
 
-is the production path: M(t) has an exact per-block expression (a damped
-rotation), and sigma_inf solves the stationary condition
-Y sigma_inf + sigma_inf Y^T = -2 D through a dense 10-unknown linear
-system over the independent entries of a symmetric 4x4 matrix.  A fixed
-step Runge-Kutta integrator of the same equation is kept as an
-independent oracle.
+is the only production path: M(t) has an exact per-block expression (a
+damped rotation) and sigma_inf is the Gibbs state written down directly.
+The independent oracles (a fixed-step Runge-Kutta integrator and a generic
+matrix exponential) live with the tests.
 """
 
 from __future__ import annotations
@@ -30,23 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import InvalidParams, SingularMatrix
-from .linalg import Mat4
-from .states import CovarianceMatrix
-
-# Index pairs of the 10 independent entries of a symmetric 4x4 matrix.
-_SYM_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
-_PAIR_INDEX = {pair: k for k, pair in enumerate(_SYM_PAIRS)}
+from .errors import InvalidParams
+from .states import CovarianceMatrix, Mat4
 
 
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Bath and mode parameters in natural units (hbar = k = 1).
 
-    lam is the dissipation constant; lam > 0 is required for the evolution
-    to have a stationary state (lam = 0 is accepted so the undamped limit
-    can be exercised, but asymptotic quantities then raise SingularMatrix).
+    lam is the dissipation constant.  lam = 0 is the undamped limit: the
+    evolution is then a free rotation, which leaves the Gibbs state
+    invariant, so the closed-form solution needs no special case.  Every
+    field must be finite.
     """
 
     lam: float = 0.1
@@ -56,6 +49,10 @@ class EnvironmentParams:
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("lam", "m", "omega1", "omega2", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise InvalidParams(f"dissipation constant must be non-negative, got {self.lam}")
         if self.m <= 0:
@@ -75,37 +72,10 @@ def _coth_half(omega: float, temperature: float) -> float:
     return 1.0 / math.tanh(omega / (2.0 * temperature))
 
 
-def drift_matrix(p: EnvironmentParams) -> Mat4:
-    """Block-diagonal drift matrix; each block has eigenvalues -lam +- i omega."""
-    y = np.zeros((4, 4))
-    for k, omega in ((0, p.omega1), (2, p.omega2)):
-        y[k, k] = -p.lam
-        y[k, k + 1] = 1.0 / p.m
-        y[k + 1, k] = -p.m * omega**2
-        y[k + 1, k + 1] = -p.lam
-    return y
-
-
-def thermal_diffusion(p: EnvironmentParams) -> Mat4:
-    """Diagonal diffusion matrix of a bath in thermal equilibrium.
-
-    D_xx = lam coth(w/2T) / (2 m w) and D_pp = lam m w coth(w/2T) / 2 per
-    mode; every cross coefficient vanishes.  At T = 0 the coth weight is 1.
-    """
-    d = np.zeros((4, 4))
-    for k, omega in ((0, p.omega1), (2, p.omega2)):
-        coth = _coth_half(omega, p.temperature)
-        d[k, k] = p.lam * coth / (2.0 * p.m * omega)
-        d[k + 1, k + 1] = p.lam * p.m * omega * coth / 2.0
-    return d
-
-
 def propagator(p: EnvironmentParams, t: float) -> Mat4:
     """Analytic exp(Y t): per mode a damped rotation.
 
     exp(-lam t) [[cos(w t), sin(w t)/(m w)], [-m w sin(w t), cos(w t)]].
-    Agrees with the generic matrix exponential of the drift to better than
-    1e-9 over the parameter ranges used here.
     """
     m_out = np.zeros((4, 4))
     decay = math.exp(-p.lam * t)
@@ -119,108 +89,31 @@ def propagator(p: EnvironmentParams, t: float) -> Mat4:
     return m_out
 
 
-def solve_lyapunov(y: Mat4, d: Mat4) -> Mat4:
-    """Solve Y s + s Y^T = -2 D for symmetric s.
-
-    The 10 independent entries of s are vectorized into a dense linear
-    system solved by the pivoted elimination kernel.
-
-    Raises
-    ------
-    SingularMatrix
-        If the system is singular, e.g. for a drift that is not Hurwitz.
-    """
-    a = np.zeros((10, 10))
-    rhs = np.zeros(10)
-    for row, (i, j) in enumerate(_SYM_PAIRS):
-        for k in range(4):
-            a[row, _PAIR_INDEX[(min(k, j), max(k, j))]] += y[i, k]
-            a[row, _PAIR_INDEX[(min(i, k), max(i, k))]] += y[j, k]
-        rhs[row] = -2.0 * d[i, j]
-    x = linalg.solve_linear(a, rhs)
-    s = np.zeros((4, 4))
-    for k, (i, j) in enumerate(_SYM_PAIRS):
-        s[i, j] = x[k]
-        s[j, i] = x[k]
-    return s
-
-
-def asymptotic_covariance(p: EnvironmentParams, d: Mat4 | None = None) -> CovarianceMatrix:
+def asymptotic_covariance(p: EnvironmentParams) -> CovarianceMatrix:
     """Stationary covariance matrix of the dissipative evolution.
 
-    For the thermal diffusion matrix this is the Gibbs state
-    diag(coth(w/2T)/(2 m w), m w coth(w/2T)/2) per mode; any symmetric
-    positive semidefinite diffusion matrix may be supplied instead.
-
-    Raises
-    ------
-    SingularMatrix
-        If lam <= 0, in which case the drift is not Hurwitz and no
-        stationary state exists.
+    The Gibbs state diag(coth(w/2T)/(2 m w), m w coth(w/2T)/2) per mode,
+    exactly diagonal.  At T = 0 the coth weight is 1 (the vacuum of each
+    oscillator).
     """
-    if p.lam <= 0:
-        raise SingularMatrix(
-            f"no stationary state for dissipation constant {p.lam} (drift is not Hurwitz)"
-        )
-    if d is None:
-        d = thermal_diffusion(p)
-    return CovarianceMatrix(solve_lyapunov(drift_matrix(p), d))
+    entries = []
+    for omega in (p.omega1, p.omega2):
+        coth = _coth_half(omega, p.temperature)
+        entries += [coth / (2.0 * p.m * omega), p.m * omega * coth / 2.0]
+    return CovarianceMatrix(np.diag(entries))
 
 
-def evolve_closed(
-    s0: CovarianceMatrix, p: EnvironmentParams, t: float, d: Mat4 | None = None
-) -> CovarianceMatrix:
+def evolve_closed(s0: CovarianceMatrix, p: EnvironmentParams, t: float) -> CovarianceMatrix:
     """Propagate the covariance matrix to time t with the closed-form solution.
 
-    t = 0 returns the input state unchanged, bypassing the stationary-state
-    solve.
+    sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with the
+    analytic propagator M(t) and the Gibbs state sigma_inf.  t = 0 returns
+    the input state unchanged.
     """
     if t < 0:
         raise InvalidParams(f"time must be non-negative, got {t}")
     if t == 0:
         return s0
     m = propagator(p, t)
-    s_inf = asymptotic_covariance(p, d).sigma
+    s_inf = asymptotic_covariance(p).sigma
     return CovarianceMatrix(m @ (s0.sigma - s_inf) @ m.T + s_inf)
-
-
-def evolve_rk4(
-    s0: CovarianceMatrix,
-    p: EnvironmentParams,
-    t: float,
-    dt: float,
-    d: Mat4 | None = None,
-) -> CovarianceMatrix:
-    """Integrate d sigma/dt = Y sigma + sigma Y^T + 2 D with fixed-step RK4.
-
-    Independent oracle for evolve_closed; the state is symmetrized after
-    every step.  A trailing partial step covers t when it is not an exact
-    multiple of dt.
-    """
-    if dt <= 0:
-        raise InvalidParams(f"step size must be positive, got {dt}")
-    if t < 0:
-        raise InvalidParams(f"time must be non-negative, got {t}")
-    y = drift_matrix(p)
-    if d is None:
-        d = thermal_diffusion(p)
-    two_d = 2.0 * np.asarray(d, dtype=float)
-
-    def rhs(s: Mat4) -> Mat4:
-        return y @ s + s @ y.T + two_d
-
-    def step(s: Mat4, h: float) -> Mat4:
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return 0.5 * (s + s.T)
-
-    s = np.array(s0.sigma, dtype=float)
-    n_full, remainder = divmod(t, dt)
-    for _ in range(int(n_full)):
-        s = step(s, dt)
-    if remainder > 1e-15 * max(t, 1.0):
-        s = step(s, remainder)
-    return CovarianceMatrix(s)

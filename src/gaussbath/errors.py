@@ -5,10 +5,6 @@ class GaussBathError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularMatrix(GaussBathError):
-    """A linear system has no usable pivot (non-invertible within tolerance)."""
-
-
 class InvalidParams(GaussBathError, ValueError):
     """A parameter violates its documented domain (negative occupation, dt <= 0, ...)."""
 

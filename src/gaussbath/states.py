@@ -37,9 +37,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import DomainError, InvalidParams, NonPhysical
-from .linalg import Mat2, Mat4
+
+# 2x2 and 4x4 real matrices are represented as plain float64 arrays.
+Mat2 = NDArray[np.float64]
+Mat4 = NDArray[np.float64]
 
 _log = logging.getLogger(__name__)
 
@@ -96,6 +100,10 @@ class SqueezedThermalParams:
     r: float
 
     def __post_init__(self) -> None:
+        for name in ("n1", "n2", "r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidParams(
                 f"thermal photon numbers must be non-negative, got n1={self.n1}, n2={self.n2}"

@@ -11,17 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import drift_matrix, evolve_rk4, thermal_diffusion
 
 from gaussbath.analysis import classify_threshold, sudden_death_time, sweep, trajectory
 from gaussbath.cli import main as cli_main
-from gaussbath.dynamics import (
-    EnvironmentParams,
-    asymptotic_covariance,
-    drift_matrix,
-    evolve_closed,
-    evolve_rk4,
-    thermal_diffusion,
-)
+from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, evolve_closed
 from gaussbath.states import (
     CovarianceMatrix,
     SqueezedThermalParams,

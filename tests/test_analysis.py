@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from oracles import evolve_rk4
 
+from gaussbath import analysis
 from gaussbath.analysis import (
     SweepRow,
     SweepTable,
@@ -10,10 +12,11 @@ from gaussbath.analysis import (
     sweep,
     trajectory,
 )
-from gaussbath.dynamics import EnvironmentParams, evolve_closed, evolve_rk4
+from gaussbath.dynamics import EnvironmentParams, evolve_closed
 from gaussbath.errors import (
     InvalidInput,
     InvalidParams,
+    NonPhysical,
     ThresholdInconsistency,
 )
 from gaussbath.states import (
@@ -140,6 +143,16 @@ def test_sudden_death_validates_tolerance():
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams):
         sudden_death_time(s0, fig_env(1.0), 20.0, tol=0.0)
+
+
+def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
+    def broken_ppt_g(state):
+        raise NonPhysical("radicand negative")
+
+    monkeypatch.setattr(analysis, "ppt_g", broken_ppt_g)
+    s0 = build_squeezed_thermal(FIG_STATE)
+    with pytest.raises(NonPhysical, match=r"^at t=0\.01, T=1\.5: radicand negative$"):
+        sudden_death_time(s0, fig_env(1.5), 20.0)
 
 
 # ---------------------------------------------------------------- sweep

@@ -62,6 +62,13 @@ def test_zero_damping_is_usage_error(capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+def test_non_finite_squeezing_is_usage_error(capsys):
+    assert main(["evolve", "--squeezing", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "r must be finite" in err
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["sweep", "--frequency", "2"]) == 2
 

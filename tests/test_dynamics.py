@@ -2,19 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import det4, drift_matrix, evolve_rk4, expm_generic, thermal_diffusion
 
 from gaussbath.dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
-    drift_matrix,
     evolve_closed,
-    evolve_rk4,
     propagator,
-    solve_lyapunov,
-    thermal_diffusion,
 )
-from gaussbath.errors import InvalidParams, SingularMatrix
-from gaussbath.linalg import expm_generic
+from gaussbath.errors import InvalidParams
 from gaussbath.states import (
     CovarianceMatrix,
     SqueezedThermalParams,
@@ -52,10 +48,14 @@ def test_environment_params_validation():
         EnvironmentParams(omega2=0.0)
     with pytest.raises(InvalidParams):
         EnvironmentParams(temperature=-0.5)
+    for field in ("lam", "m", "omega1", "omega2", "temperature"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidParams, match=field):
+                EnvironmentParams(**{field: value})
 
 
 def test_environment_params_allow_zero_damping():
-    # needed for the undamped oracle checks; asymptotics then refuse to run
+    # the undamped limit: the evolution is a free rotation
     p = EnvironmentParams(lam=0.0)
     assert p.lam == 0.0
 
@@ -180,22 +180,34 @@ def test_asymptotic_spectrum_is_thermal():
     assert spec.nu_plus == pytest.approx(expected, rel=1e-12)
 
 
-def test_asymptotic_covariance_requires_damping():
-    with pytest.raises(SingularMatrix):
-        asymptotic_covariance(EnvironmentParams(lam=0.0))
+def test_asymptotic_covariance_is_exactly_diagonal():
+    for p in (
+        EnvironmentParams(lam=0.1, temperature=1.0),
+        EnvironmentParams(lam=0.4, m=1.7, omega1=0.6, omega2=2.3, temperature=1.3),
+        EnvironmentParams(lam=0.0, temperature=0.0),
+    ):
+        s_inf = asymptotic_covariance(p).sigma
+        assert np.array_equal(s_inf, np.diag(np.diag(s_inf)))
 
 
-def test_solve_lyapunov_general_diffusion():
-    # any symmetric positive semidefinite diffusion matrix is accepted
-    rng = np.random.default_rng(53)
-    p = EnvironmentParams(lam=0.3, omega1=1.1, omega2=0.9)
-    y = drift_matrix(p)
-    for _ in range(5):
-        w = rng.normal(size=(4, 4))
-        d = w @ w.T / 4.0
-        sigma = solve_lyapunov(y, d)
-        assert np.array_equal(sigma, sigma.T)
-        assert lyapunov_residual(y, sigma, d) <= 1e-10
+def test_asymptotic_covariance_matches_high_precision_gibbs():
+    # the 50-digit Gibbs state, rounded once; the closed form is within 4 ulps
+    mpmath = pytest.importorskip("mpmath")
+    for p in (
+        EnvironmentParams(lam=0.1, temperature=0.0),
+        EnvironmentParams(lam=0.1, temperature=1.0),
+        EnvironmentParams(lam=0.4, m=1.7, omega1=0.6, omega2=2.3, temperature=1.3),
+        EnvironmentParams(lam=0.2, m=0.3, omega1=5.0, omega2=0.05, temperature=0.01),
+    ):
+        diagonal = np.diag(asymptotic_covariance(p).sigma)
+        expected = []
+        with mpmath.workdps(50):
+            for omega in (p.omega1, p.omega2):
+                w, m = mpmath.mpf(omega), mpmath.mpf(p.m)
+                coth = 1 if p.temperature == 0 else mpmath.coth(w / (2 * mpmath.mpf(p.temperature)))
+                expected += [float(coth / (2 * m * w)), float(m * w * coth / 2)]
+        for got, want in zip(diagonal, expected):
+            assert abs(got - want) <= 4 * math.ulp(want)
 
 
 # ---------------------------------------------------------------- closed evolution
@@ -285,10 +297,21 @@ def test_rk4_partial_final_step():
     assert np.max(np.abs(closed.sigma - integrated.sigma)) <= 1e-6
 
 
+def test_evolve_closed_undamped_is_free_rotation():
+    # lam = 0: the Gibbs state is invariant under the free rotation M(t)
+    s0 = build_squeezed_thermal(SqueezedThermalParams(0.5, 0.5, 1.0))
+    for temperature in (0.0, 1.0):
+        p = EnvironmentParams(lam=0.0, omega1=1.0, omega2=1.3, temperature=temperature)
+        for t in (0.7, 3.0, 11.0):
+            m = propagator(p, t)
+            closed = evolve_closed(s0, p, t)
+            assert np.max(np.abs(closed.sigma - m @ s0.sigma @ m.T)) <= 1e-12
+            integrated = evolve_rk4(s0, p, t, 1e-3)
+            assert np.max(np.abs(closed.sigma - integrated.sigma)) <= 1e-6
+
+
 def test_rk4_undamped_flow_preserves_determinant():
     # lam = 0 gives a pure symplectic rotation with D = 0
-    from gaussbath.linalg import det4
-
     s0 = build_squeezed_thermal(SqueezedThermalParams(0.5, 0.5, 1.0))
     p = EnvironmentParams(lam=0.0, omega1=1.0, omega2=1.3)
     out = evolve_rk4(s0, p, 3.0, 1e-3)

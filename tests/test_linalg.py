@@ -1,10 +1,10 @@
+"""Checks of the float determinant and matrix-exponential oracles in oracles.py."""
+
 import math
 
 import numpy as np
 import pytest
-
-from gaussbath.errors import SingularMatrix
-from gaussbath.linalg import det2, det3, det4, expm_generic, solve_linear
+from oracles import det2, det3, det4, expm_generic
 
 
 def test_det2_identity():
@@ -50,50 +50,6 @@ def test_det4_matches_numpy_on_random_input():
     for _ in range(50):
         m = rng.normal(size=(4, 4))
         assert det4(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-12)
-
-
-def test_solve_identity_returns_rhs():
-    b = np.array([3.0, -1.0, 2.0, 0.5])
-    assert np.array_equal(solve_linear(np.eye(4), b), b)
-
-
-def test_solve_diagonal_scaling():
-    x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0], atol=0)
-
-
-def test_solve_recovers_known_solution_10x10():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-1.0, 1.0, size=(10, 10)) + 5.0 * np.eye(10)
-    x_true = rng.uniform(-2.0, 2.0, size=10)
-    x = solve_linear(a, a @ x_true)
-    assert np.max(np.abs(x - x_true)) <= 1e-10
-
-
-def test_solve_residual_bound():
-    rng = np.random.default_rng(17)
-    for n in (2, 4, 10, 16):
-        a = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=n)
-        x = solve_linear(a, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
-
-
-def test_solve_rejects_singular_matrix():
-    with pytest.raises(SingularMatrix):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-
-
-def test_solve_rejects_tiny_pivot():
-    a = np.array([[1e-14, 0.0], [0.0, 1.0]])
-    with pytest.raises(SingularMatrix):
-        solve_linear(a, np.array([1.0, 1.0]))
-
-
-def test_solve_needs_pivoting():
-    # zero leading entry forces a row swap
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(solve_linear(a, np.array([2.0, 3.0])), [3.0, 2.0], atol=0)
 
 
 def test_expm_zero_is_identity_exactly():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import det4
 
 from gaussbath.errors import DomainError, InvalidParams, NonPhysical
 from gaussbath.states import (
@@ -70,6 +71,14 @@ def test_squeezed_thermal_params_reject_negative_occupation():
         SqueezedThermalParams(n1=-0.1, n2=0.0, r=1.0)
     with pytest.raises(InvalidParams):
         SqueezedThermalParams(n1=0.0, n2=-1.0, r=1.0)
+
+
+def test_squeezed_thermal_params_reject_non_finite():
+    for field in ("n1", "n2", "r"):
+        for value in (math.nan, math.inf, -math.inf):
+            kwargs = {"n1": 1.0, "n2": 1.0, "r": 1.0, field: value}
+            with pytest.raises(InvalidParams, match=field):
+                SqueezedThermalParams(**kwargs)
 
 
 # ---------------------------------------------------------------- blocks
@@ -211,8 +220,6 @@ def test_spectrum_product_identity():
         r = rng.normal(size=(4, 4))
         s = CovarianceMatrix(0.5 * np.eye(4) + r @ r.T)
         spec = symplectic_spectrum(s)
-        from gaussbath.linalg import det4
-
         delta16 = 16.0 * det4(s.sigma)
         product = 2.0 * spec.nu_minus * 2.0 * spec.nu_plus
         assert product == pytest.approx(math.sqrt(delta16), rel=1e-9)
