@@ -18,6 +18,7 @@ from .analysis import (
 from .dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
+    evolution,
     evolve_closed,
     propagator,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "build_squeezed_thermal",
     "classify_threshold",
     "discord_invariants",
+    "evolution",
     "evolve_closed",
     "f_entropy",
     "gaussian_discord",

@@ -4,16 +4,18 @@ Time series of logarithmic negativity and Gaussian discord along the
 dissipative evolution, detection of entanglement sudden death via a sign
 change of 4 g(sigma(t)) - 1, and rectangular (time, temperature) sweeps.
 Every grid cell is an independent pure computation, so tables come out
-identical regardless of evaluation order.
+identical regardless of evaluation order.  Each loop builds one
+``evolution`` per bath temperature, so the Gibbs state is not rebuilt per cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .dynamics import EnvironmentParams, evolve_closed
+from .dynamics import EnvironmentParams, evolution
 from .errors import GaussBathError, InvalidInput, InvalidParams, ThresholdInconsistency
 from .states import (
     CovarianceMatrix,
@@ -86,24 +88,11 @@ def _check_grid(grid: Sequence[float], name: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in grid)
     if not values:
         raise InvalidParams(f"{name} must be nonempty")
+    if not all(map(math.isfinite, values)):
+        raise InvalidParams(f"{name} values must be finite")
     if any(b < a for a, b in zip(values, values[1:])):
         raise InvalidParams(f"{name} must be ascending")
     return values
-
-
-def _measures_at(
-    s0: CovarianceMatrix,
-    p: EnvironmentParams,
-    t: float,
-    measured_mode: MeasuredMode,
-) -> TrajectoryPoint:
-    state = evolve_closed(s0, p, t)
-    return TrajectoryPoint(
-        t=t,
-        e_n=log_negativity(state),
-        discord=gaussian_discord(state, measured_mode),
-        nu_minus=symplectic_spectrum(state).nu_minus,
-    )
 
 
 def trajectory(
@@ -118,12 +107,16 @@ def trajectory(
     of s0, so the result does not depend on evaluation order.
     """
     times = _check_grid(t_grid, "t_grid")
+    state_at = evolution(s0, p)
     points = []
     for t in times:
         try:
-            points.append(_measures_at(s0, p, t, measured_mode))
+            state = state_at(t)
+            e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
+            nu_minus = symplectic_spectrum(state).nu_minus
         except GaussBathError as exc:
             raise type(exc)(f"at t={t:g}, T={p.temperature:g}: {exc}") from exc
+        points.append(TrajectoryPoint(t, e_n, discord, nu_minus))
     return points
 
 
@@ -146,27 +139,27 @@ def sudden_death_time(
     InvalidInput
         If the initial state is already separable.
     """
-    if tol <= 0:
-        raise InvalidParams(f"tolerance must be positive, got {tol}")
-    if t_max <= 0:
-        raise InvalidParams(f"t_max must be positive, got {t_max}")
+    if not 0 < tol < math.inf:
+        raise InvalidParams(f"tolerance must be positive and finite, got {tol}")
+    if not 0 < t_max < math.inf:
+        raise InvalidParams(f"t_max must be positive and finite, got {t_max}")
     if log_negativity(s0) <= 0:
         raise InvalidInput("initial state is separable; there is no entanglement to lose")
+    state_at = evolution(s0, p)
 
     def h(t: float) -> float:
         try:
-            return 4.0 * ppt_g(evolve_closed(s0, p, t)) - 1.0
+            return 4.0 * ppt_g(state_at(t)) - 1.0
         except GaussBathError as exc:
             raise type(exc)(f"at t={t:g}, T={p.temperature:g}: {exc}") from exc
 
     step = t_max / _SCAN_POINTS
-    lo, h_lo = 0.0, -1.0  # h(0) < 0 since the initial state is entangled
+    lo = 0.0  # h(0) < 0 since the initial state is entangled
     for k in range(1, _SCAN_POINTS + 1):
         hi = k * step
-        h_hi = h(hi)
-        if h_hi >= 0.0:
+        if h(hi) >= 0.0:
             break
-        lo, h_lo = hi, h_hi
+        lo = hi
     else:
         return None
 
@@ -197,15 +190,14 @@ def sweep(
     s0 = build_squeezed_thermal(state_params)
     rows = []
     for temperature in temperatures:
-        p = replace(env_base, temperature=temperature)
+        state_at = evolution(s0, replace(env_base, temperature=temperature))
         for t in times:
             try:
-                point = _measures_at(s0, p, t, measured_mode)
+                state = state_at(t)
+                e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
             except GaussBathError as exc:
                 raise type(exc)(f"at cell (t={t:g}, T={temperature:g}): {exc}") from exc
-            rows.append(
-                SweepRow(t=t, temperature=temperature, e_n=point.e_n, discord=point.discord)
-            )
+            rows.append(SweepRow(t, temperature, e_n, discord))
     return SweepTable(
         rows=tuple(rows),
         state=state_params,

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -41,53 +43,31 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class _Flag:
     key: str  # long flag name without dashes; also the config-file key
-    dest: str
     ftype: Callable[[Any], Any]
+    default: Any
     help: str
     choices: tuple[str, ...] | None = None
 
 
 _FLAGS = (
-    _Flag("n1", "n1", float, "mean thermal photon number of mode 1"),
-    _Flag("n2", "n2", float, "mean thermal photon number of mode 2"),
-    _Flag("squeezing", "squeezing", float, "two-mode squeezing parameter r"),
-    _Flag("lambda", "lam", float, "dissipation constant (must be positive)"),
-    _Flag("mass", "mass", float, "oscillator mass"),
-    _Flag("omega1", "omega1", float, "frequency of mode 1"),
-    _Flag("omega2", "omega2", float, "frequency of mode 2"),
-    _Flag("temperature", "temperature", float, "bath temperature (evolve and esd)"),
-    _Flag("t-max", "t_max", float, "largest time on the grid / search horizon"),
-    _Flag("points", "points", int, "number of time grid points"),
-    _Flag("temp-max", "temp_max", float, "largest temperature on the sweep grid"),
-    _Flag("temp-points", "temp_points", int, "number of temperature grid points"),
+    _Flag("n1", float, 1.0, "mean thermal photon number of mode 1"),
+    _Flag("n2", float, 1.0, "mean thermal photon number of mode 2"),
+    _Flag("squeezing", float, 2.0, "two-mode squeezing parameter r"),
+    _Flag("lambda", float, 0.1, "dissipation constant (must be positive)"),
+    _Flag("mass", float, 1.0, "oscillator mass"),
+    _Flag("omega1", float, 1.0, "frequency of mode 1"),
+    _Flag("omega2", float, 1.0, "frequency of mode 2"),
+    _Flag("temperature", float, 1.0, "bath temperature (evolve and esd)"),
+    _Flag("t-max", float, 20.0, "largest time on the grid / search horizon"),
+    _Flag("points", int, 200, "number of time grid points"),
+    _Flag("temp-max", float, 4.0, "largest temperature on the sweep grid"),
+    _Flag("temp-points", int, 40, "number of temperature grid points"),
     _Flag(
-        "measured-mode",
-        "measured_mode",
-        str,
-        "mode the discord measurement acts on",
-        choices=("mode1", "mode2"),
+        "measured-mode", str, "mode2", "mode the discord measurement acts on", ("mode1", "mode2")
     ),
-    _Flag("output", "output", str, "output file path (default <command>.<format>)"),
-    _Flag("format", "format", str, "output format", choices=("csv", "json")),
+    _Flag("output", str, None, "output file path (default <command>.<format>)"),
+    _Flag("format", str, "csv", "output format", choices=("csv", "json")),
 )
-
-_DEFAULTS: dict[str, Any] = {
-    "n1": 1.0,
-    "n2": 1.0,
-    "squeezing": 2.0,
-    "lambda": 0.1,
-    "mass": 1.0,
-    "omega1": 1.0,
-    "omega2": 1.0,
-    "temperature": 1.0,
-    "t-max": 20.0,
-    "points": 200,
-    "temp-max": 4.0,
-    "temp-points": 40,
-    "measured-mode": "mode2",
-    "format": "csv",
-    "output": None,
-}
 
 _ESD_TOL = 1e-6
 
@@ -125,17 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in _FLAGS:
             p.add_argument(
                 f"--{flag.key}",
-                dest=flag.dest,
+                dest=flag.key,
                 type=flag.ftype,
-                default=None,
                 choices=flag.choices,
                 help=flag.help,
             )
         p.add_argument(
-            "--config",
-            dest="config",
-            default=None,
-            help="JSON file with flag-named keys; explicit flags take precedence",
+            "--config", help="JSON file with flag-named keys; explicit flags take precedence"
         )
     return parser
 
@@ -176,11 +152,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file and flags into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
 
-    merged = dict(_DEFAULTS)
+    merged = {flag.key: flag.default for flag in _FLAGS}
     if args.config is not None:
         merged.update(_load_config_file(args.config))
     for flag in _FLAGS:
-        value = getattr(args, flag.dest)
+        value = getattr(args, flag.key)
         if value is not None:
             merged[flag.key] = value
 
@@ -195,9 +171,17 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         "temperature",
         f"must be non-negative, got {merged['temperature']}",
     )
-    _require(merged["t-max"] > 0, "t-max", f"must be positive, got {merged['t-max']}")
+    _require(
+        0 < merged["t-max"] < math.inf,
+        "t-max",
+        f"must be positive and finite, got {merged['t-max']}",
+    )
     _require(merged["points"] >= 1, "points", f"must be at least 1, got {merged['points']}")
-    _require(merged["temp-max"] >= 0, "temp-max", f"must be non-negative, got {merged['temp-max']}")
+    _require(
+        0 <= merged["temp-max"] < math.inf,
+        "temp-max",
+        f"must be non-negative and finite, got {merged['temp-max']}",
+    )
     _require(
         merged["temp-points"] >= 1,
         "temp-points",
@@ -229,86 +213,64 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        handle.writelines(line + "\n" for line in lines)
 
 
-def _state_metadata(config: RunConfig) -> dict[str, Any]:
-    return {"n1": config.state.n1, "n2": config.state.n2, "r": config.state.r}
+def _write_table(
+    config: RunConfig,
+    out_path: Path,
+    columns: tuple[str, ...],
+    rows: Iterable[tuple[float, ...]],
+) -> None:
+    """Write rows, given in column order, as CSV or as JSON with run metadata.
 
-
-def _env_metadata(config: RunConfig, with_temperature: bool) -> dict[str, Any]:
-    env: dict[str, Any] = {
-        "lambda": config.env.lam,
-        "mass": config.env.m,
-        "omega1": config.env.omega1,
-        "omega2": config.env.omega2,
+    The JSON metadata echoes every parameter the command used: a sweep
+    takes its temperatures from the grid, evolve from --temperature.
+    """
+    if config.format == "csv":
+        body = (",".join(map(_fmt, row)) for row in rows)
+        _write_lines(out_path, chain([",".join(columns)], body))
+        return
+    env = config.env
+    env_meta = {"lambda": env.lam, "mass": env.m, "omega1": env.omega1, "omega2": env.omega2}
+    grids = {"t_grid": {"min": 0.0, "max": config.t_max, "count": config.points}}
+    if config.command == "sweep":
+        grids["temperature_grid"] = {
+            "min": 0.0,
+            "max": config.temp_max,
+            "count": config.temp_points,
+        }
+    else:
+        env_meta["temperature"] = env.temperature
+    payload = {
+        "metadata": {
+            "command": config.command,
+            "state": {"n1": config.state.n1, "n2": config.state.n2, "r": config.state.r},
+            "env": env_meta,
+            **grids,
+            "measured_mode": config.measured_mode.value,
+        },
+        "rows": [dict(zip(columns, row)) for row in rows],
     }
-    if with_temperature:
-        env["temperature"] = config.env.temperature
-    return env
+    _write_lines(out_path, [json.dumps(payload, indent=2)])
 
 
 def _run_evolve(config: RunConfig, out_path: Path) -> None:
     s0 = build_squeezed_thermal(config.state)
     t_grid = np.linspace(0.0, config.t_max, config.points)
     points = trajectory(s0, config.env, t_grid, config.measured_mode)
-    if config.format == "csv":
-        lines = ["t,E_N,discord,nu_minus"]
-        lines += [
-            ",".join((_fmt(pt.t), _fmt(pt.e_n), _fmt(pt.discord), _fmt(pt.nu_minus)))
-            for pt in points
-        ]
-        _write_text(out_path, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "metadata": {
-                "command": "evolve",
-                "state": _state_metadata(config),
-                "env": _env_metadata(config, with_temperature=True),
-                "t_grid": {"min": 0.0, "max": config.t_max, "count": config.points},
-                "measured_mode": config.measured_mode.value,
-            },
-            "rows": [
-                {"t": pt.t, "E_N": pt.e_n, "discord": pt.discord, "nu_minus": pt.nu_minus}
-                for pt in points
-            ],
-        }
-        _write_text(out_path, json.dumps(payload, indent=2) + "\n")
+    rows = ((pt.t, pt.e_n, pt.discord, pt.nu_minus) for pt in points)
+    _write_table(config, out_path, ("t", "E_N", "discord", "nu_minus"), rows)
 
 
 def _run_sweep(config: RunConfig, out_path: Path) -> None:
     t_grid = np.linspace(0.0, config.t_max, config.points)
     temperature_grid = np.linspace(0.0, config.temp_max, config.temp_points)
     table = sweep(config.state, config.env, t_grid, temperature_grid, config.measured_mode)
-    if config.format == "csv":
-        lines = ["t,T,E_N,discord"]
-        lines += [
-            ",".join((_fmt(row.t), _fmt(row.temperature), _fmt(row.e_n), _fmt(row.discord)))
-            for row in table.rows
-        ]
-        _write_text(out_path, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "metadata": {
-                "command": "sweep",
-                "state": _state_metadata(config),
-                "env": _env_metadata(config, with_temperature=False),
-                "t_grid": {"min": 0.0, "max": config.t_max, "count": config.points},
-                "temperature_grid": {
-                    "min": 0.0,
-                    "max": config.temp_max,
-                    "count": config.temp_points,
-                },
-                "measured_mode": config.measured_mode.value,
-            },
-            "rows": [
-                {"t": row.t, "T": row.temperature, "E_N": row.e_n, "discord": row.discord}
-                for row in table.rows
-            ],
-        }
-        _write_text(out_path, json.dumps(payload, indent=2) + "\n")
+    rows = ((row.t, row.temperature, row.e_n, row.discord) for row in table.rows)
+    _write_table(config, out_path, ("t", "T", "E_N", "discord"), rows)
 
 
 def _run_esd(config: RunConfig) -> None:
@@ -319,9 +281,8 @@ def _run_esd(config: RunConfig) -> None:
     if config.output is not None:
         out_path = Path(config.output)
         if config.format == "json":
-            _write_text(out_path, json.dumps({"t_esd": t_star}, indent=2) + "\n")
-        else:
-            _write_text(out_path, line + "\n")
+            line = json.dumps({"t_esd": t_star}, indent=2)
+        _write_lines(out_path, [line])
 
 
 def run(config: RunConfig) -> int:

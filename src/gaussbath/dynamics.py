@@ -17,7 +17,8 @@ The closed-form solution
 
 is the only production path: M(t) has an exact per-block expression (a
 damped rotation) and sigma_inf is the Gibbs state written down directly.
-The independent oracles (a fixed-step Runge-Kutta integrator and a generic
+``evolution(s0, p)`` builds sigma_inf once for a loop over t.  The
+independent oracles (a fixed-step Runge-Kutta integrator and a generic
 matrix exponential) live with the tests.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,13 +67,6 @@ class EnvironmentParams:
             raise InvalidParams(f"temperature must be non-negative, got {self.temperature}")
 
 
-def _coth_half(omega: float, temperature: float) -> float:
-    """coth(omega / (2 T)) with the T = 0 limit handled explicitly."""
-    if temperature == 0.0:
-        return 1.0
-    return 1.0 / math.tanh(omega / (2.0 * temperature))
-
-
 def propagator(p: EnvironmentParams, t: float) -> Mat4:
     """Analytic exp(Y t): per mode a damped rotation.
 
@@ -98,22 +93,33 @@ def asymptotic_covariance(p: EnvironmentParams) -> CovarianceMatrix:
     """
     entries = []
     for omega in (p.omega1, p.omega2):
-        coth = _coth_half(omega, p.temperature)
+        # coth(w / 2T), whose T = 0 limit is 1
+        coth = 1.0 / math.tanh(omega / (2.0 * p.temperature)) if p.temperature > 0 else 1.0
         entries += [coth / (2.0 * p.m * omega), p.m * omega * coth / 2.0]
     return CovarianceMatrix(np.diag(entries))
 
 
-def evolve_closed(s0: CovarianceMatrix, p: EnvironmentParams, t: float) -> CovarianceMatrix:
-    """Propagate the covariance matrix to time t with the closed-form solution.
+def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], CovarianceMatrix]:
+    """sigma(t) of the closed-form solution, as a function of the time t.
 
-    sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with the
-    analytic propagator M(t) and the Gibbs state sigma_inf.  t = 0 returns
-    the input state unchanged.
+    sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf, with the Gibbs
+    state sigma_inf built once, here.  t must be finite and non-negative;
+    t = 0 returns s0 unchanged.
     """
-    if t < 0:
-        raise InvalidParams(f"time must be non-negative, got {t}")
-    if t == 0:
-        return s0
-    m = propagator(p, t)
     s_inf = asymptotic_covariance(p).sigma
-    return CovarianceMatrix(m @ (s0.sigma - s_inf) @ m.T + s_inf)
+    shifted = s0.sigma - s_inf
+
+    def at(t: float) -> CovarianceMatrix:
+        if not 0 <= t < math.inf:
+            raise InvalidParams(f"time must be finite and non-negative, got {t}")
+        if t == 0:
+            return s0
+        m = propagator(p, t)
+        return CovarianceMatrix(m @ shifted @ m.T + s_inf)
+
+    return at
+
+
+def evolve_closed(s0: CovarianceMatrix, p: EnvironmentParams, t: float) -> CovarianceMatrix:
+    """Covariance matrix at time t: ``evolution(s0, p)(t)``."""
+    return evolution(s0, p)(t)

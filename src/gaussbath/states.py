@@ -35,6 +35,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,7 +76,8 @@ class CovarianceMatrix:
 
     Construction symmetrizes the input (0.5 * (s + s^T)) and rejects
     non-finite entries, so every instance is exactly symmetric; the stored
-    array is read-only.
+    array is read-only.  The exact integer invariants that every measure
+    reads are computed on first use and kept on the instance.
     """
 
     sigma: Mat4
@@ -89,6 +91,18 @@ class CovarianceMatrix:
         arr = 0.5 * (arr + arr.T)
         arr.setflags(write=False)
         object.__setattr__(self, "sigma", arr)
+
+    @cached_property
+    def _invariants(self) -> _ExactInvariants:
+        m, shift = _scaled_ints(self.sigma)
+        return _ExactInvariants(
+            ints=m,
+            shift=shift,
+            det_a=_det2_int(m, 0, 1, 0, 1),
+            det_b=_det2_int(m, 2, 3, 2, 3),
+            det_c=_det2_int(m, 0, 1, 2, 3),
+            det_sigma=_det4_int(m),
+        )
 
 
 @dataclass(frozen=True)
@@ -151,21 +165,11 @@ def blocks(state: CovarianceMatrix) -> tuple[Mat2, Mat2, Mat2]:
 
 def _scaled_ints(sigma: Mat4) -> tuple[list[list[int]], int]:
     """Exact representation sigma = ints * 2**shift, with shift <= -1."""
-    mantissas: list[int] = []
-    exponents: list[int] = []
-    for x in sigma.flat:
-        if x == 0.0:
-            mantissas.append(0)
-            exponents.append(0)
-        else:
-            frac, exp = math.frexp(float(x))
-            mantissas.append(int(frac * 9007199254740992.0))  # 2**53
-            exponents.append(exp - 53)
-    shift = min(
-        min((e for m, e in zip(mantissas, exponents) if m != 0), default=-1), -1
-    )
-    flat = [m << (e - shift) if m != 0 else 0 for m, e in zip(mantissas, exponents)]
-    return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], shift
+    ratios = [x.as_integer_ratio() for x in sigma.flat]
+    # every denominator is a power of two, so each divides the largest
+    scale = max(2, *(d for _, d in ratios))
+    flat = [n * (scale // d) for n, d in ratios]
+    return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], 1 - scale.bit_length()
 
 
 def _det2_int(m: list[list[int]], r0: int, r1: int, c0: int, c1: int) -> int:
@@ -217,23 +221,6 @@ class _ExactInvariants:
     det_b: int  # scale 2*shift
     det_c: int  # scale 2*shift
     det_sigma: int  # scale 4*shift
-
-
-def _invariants_of(state: CovarianceMatrix) -> _ExactInvariants:
-    """Exact invariants of the state, cached on the (immutable) instance."""
-    cached = state.__dict__.get("_invariants")
-    if cached is None:
-        m, shift = _scaled_ints(state.sigma)
-        cached = _ExactInvariants(
-            ints=m,
-            shift=shift,
-            det_a=_det2_int(m, 0, 1, 0, 1),
-            det_b=_det2_int(m, 2, 3, 2, 3),
-            det_c=_det2_int(m, 0, 1, 2, 3),
-            det_sigma=_det4_int(m),
-        )
-        object.__setattr__(state, "_invariants", cached)
-    return cached
 
 
 def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
@@ -288,7 +275,7 @@ def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     Radicands negative within tolerance clamp to zero; strongly negative
     ones mark an invalid covariance matrix.
     """
-    inv = _invariants_of(state)
+    inv = state._invariants
     delta_num = inv.det_a + inv.det_b + 2 * inv.det_c
     disc_num = delta_num * delta_num - 4 * inv.det_sigma
     big_delta = _dyadic_float(delta_num, 2 * inv.shift)
@@ -320,7 +307,7 @@ def ppt_g(state: CovarianceMatrix) -> float:
     exactly over the integers.  The state is entangled exactly when
     4 g < 1.
     """
-    inv = _invariants_of(state)
+    inv = state._invariants
     two_h_num = inv.det_a + inv.det_b - 2 * inv.det_c
     rad_num = two_h_num * two_h_num - 4 * inv.det_sigma  # 4 * radicand
     h = _dyadic_float(two_h_num, 2 * inv.shift - 1)
@@ -345,30 +332,35 @@ def log_negativity(state: CovarianceMatrix) -> float:
     return max(0.0, -0.5 * math.log2(4.0 * g))
 
 
-def is_physical(state: CovarianceMatrix) -> bool:
-    """True iff sigma is symmetric, positive definite and 2 nu_minus >= 1 - 1e-9.
+def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
+    """Symplectic spectrum of a bona fide state; raises NonPhysical otherwise.
 
-    Positive definiteness is decided by the exact signs of the leading
-    principal minors.
+    Bona fide means positive definite, decided by the exact signs of the
+    leading principal minors, and 2 nu_minus >= 1 - 1e-9.  The minors are
+    needed: -sigma of a bona fide sigma has the same spectrum.
     """
-    s = state.sigma
-    if float(np.max(np.abs(s - s.T))) > 1e-12:
-        return False
-    inv = _invariants_of(state)
+    inv = state._invariants
     m = inv.ints
-    minors = (
-        m[0][0],
-        inv.det_a,
-        _det3_int(m, (0, 1, 2), (0, 1, 2)),
-        inv.det_sigma,
-    )
+    minors = (m[0][0], inv.det_a, _det3_int(m, (0, 1, 2), (0, 1, 2)), inv.det_sigma)
     if any(minor <= 0 for minor in minors):
-        return False
+        raise NonPhysical("covariance matrix is not positive definite")
+    spectrum = symplectic_spectrum(state)
+    if 2.0 * spectrum.nu_minus < 1.0 - PHYSICALITY_TOL:
+        raise NonPhysical(f"2 nu_minus = {2.0 * spectrum.nu_minus:.6g} is below 1 beyond tolerance")
+    return spectrum
+
+
+def is_physical(state: CovarianceMatrix) -> bool:
+    """True iff sigma is positive definite and 2 nu_minus >= 1 - 1e-9.
+
+    Every CovarianceMatrix is exactly symmetric by construction.  This is
+    the check gaussian_discord raises on, returned as a flag.
+    """
     try:
-        spectrum = symplectic_spectrum(state)
+        _bona_fide_spectrum(state)
     except NonPhysical:
         return False
-    return 2.0 * spectrum.nu_minus >= 1.0 - PHYSICALITY_TOL
+    return True
 
 
 def f_entropy(x: float) -> float:
@@ -409,7 +401,7 @@ def discord_invariants(
     in exact rational arithmetic, so ties (pure states sit exactly on the
     boundary) deterministically take the first branch.
     """
-    inv = _invariants_of(state)
+    inv = state._invariants
     a_num, b_num = inv.det_a, inv.det_b
     if measured_mode is MeasuredMode.MODE1:
         a_num, b_num = b_num, a_num
@@ -497,14 +489,13 @@ def gaussian_discord(
     Raises
     ------
     NonPhysical
-        If the state fails physicality or the invariants are inconsistent.
+        If the state is not bona fide (see is_physical) or the invariants
+        are inconsistent.
     DomainError
         If an entropy argument falls below its domain beyond tolerance.
     """
-    if not is_physical(state):
-        raise NonPhysical("gaussian_discord requires a bona fide covariance matrix")
+    spectrum = _bona_fide_spectrum(state)
     inv = discord_invariants(state, measured_mode)
-    spectrum = symplectic_spectrum(state)
     d = (
         f_entropy(_clamped_sqrt(inv.beta, "local invariant beta"))
         - f_entropy(2.0 * spectrum.nu_minus)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import evolve_rk4
 
-from gaussbath import analysis
+from gaussbath import analysis, dynamics, states
 from gaussbath.analysis import (
     SweepRow,
     SweepTable,
@@ -145,6 +145,19 @@ def test_sudden_death_validates_tolerance():
         sudden_death_time(s0, fig_env(1.0), 20.0, tol=0.0)
 
 
+def test_sudden_death_rejects_nan_tolerance():
+    # a NaN tolerance used to skip the bisection and return the coarse bracket
+    s0 = build_squeezed_thermal(FIG_STATE)
+    with pytest.raises(InvalidParams, match="tolerance"):
+        sudden_death_time(s0, fig_env(1.0), 20.0, tol=float("nan"))
+
+
+def test_sudden_death_rejects_infinite_horizon():
+    s0 = build_squeezed_thermal(FIG_STATE)
+    with pytest.raises(InvalidParams, match="t_max"):
+        sudden_death_time(s0, fig_env(1.0), float("inf"))
+
+
 def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
     def broken_ppt_g(state):
         raise NonPhysical("radicand negative")
@@ -205,6 +218,39 @@ def test_sweep_validates_grids():
         sweep(FIG_STATE, fig_env(0.0), [], [0.0])
     with pytest.raises(InvalidParams):
         sweep(FIG_STATE, fig_env(0.0), [0.0], [2.0, 1.0])
+
+
+def test_sweep_rejects_non_finite_grid_values():
+    with pytest.raises(InvalidParams, match="t_grid"):
+        sweep(FIG_STATE, fig_env(0.0), [0.0, float("inf")], [1.0])
+    with pytest.raises(InvalidParams, match="temperature_grid"):
+        sweep(FIG_STATE, fig_env(0.0), [0.0], [1.0, float("nan")])
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_loop_invariants_are_computed_once(monkeypatch):
+    # the Gibbs state depends on the temperature only, and each cell's
+    # spectrum feeds the discord's bona fide check and nothing else
+    gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
+    spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
+    sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
+    assert len(gibbs) <= 3
+    assert len(spectra) == 5 * 3
+
+    gibbs.clear()
+    sudden_death_time(build_squeezed_thermal(FIG_STATE), fig_env(1.0), 20.0)
+    assert len(gibbs) == 1
 
 
 def test_sweep_respects_measured_mode():

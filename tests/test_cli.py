@@ -62,6 +62,17 @@ def test_zero_damping_is_usage_error(capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["esd", "--t-max", "inf"], "--t-max"), (["sweep", "--temp-max", "inf"], "--temp-max")],
+)
+def test_infinite_grid_bound_is_usage_error(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "finite" in err
+
+
 def test_non_finite_squeezing_is_usage_error(capsys):
     assert main(["evolve", "--squeezing", "nan"]) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ from oracles import det4, drift_matrix, evolve_rk4, expm_generic, thermal_diffus
 from gaussbath.dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
+    evolution,
     evolve_closed,
     propagator,
 )
@@ -270,6 +271,13 @@ def test_evolve_closed_rejects_negative_time():
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams):
         evolve_closed(s0, EnvironmentParams(lam=0.1), -1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_evolution_rejects_non_finite_time(t):
+    s0 = build_squeezed_thermal(FIG_STATE)
+    with pytest.raises(InvalidParams, match="finite"):
+        evolution(s0, EnvironmentParams(lam=0.1))(t)
 
 
 # ---------------------------------------------------------------- RK4 oracle

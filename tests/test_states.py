@@ -305,6 +305,17 @@ def test_is_physical_rejects_indefinite_matrix():
     assert not is_physical(CovarianceMatrix(m))
 
 
+@pytest.mark.parametrize("diagonal", [(-0.5, -0.5, -0.5, -0.5), (-1.0, -1.0, 1.0, 1.0)])
+def test_bona_fide_check_needs_leading_minors(diagonal):
+    # negative definite blocks have the spectrum of a bona fide state; only
+    # the signs of the leading principal minors reject them
+    state = CovarianceMatrix(np.diag(diagonal))
+    assert 2.0 * symplectic_spectrum(state).nu_minus >= 1.0
+    assert not is_physical(state)
+    with pytest.raises(NonPhysical):
+        gaussian_discord(state)
+
+
 # ---------------------------------------------------------------- entropy function
 
 
