@@ -160,12 +160,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         if value is not None:
             merged[flag.key] = value
 
-    _require(merged["n1"] >= 0, "n1", f"must be non-negative, got {merged['n1']}")
-    _require(merged["n2"] >= 0, "n2", f"must be non-negative, got {merged['n2']}")
+    # the occupation, mass and frequency rules live in the params dataclasses
     _require(merged["lambda"] > 0, "lambda", f"must be positive, got {merged['lambda']}")
-    _require(merged["mass"] > 0, "mass", f"must be positive, got {merged['mass']}")
-    _require(merged["omega1"] > 0, "omega1", f"must be positive, got {merged['omega1']}")
-    _require(merged["omega2"] > 0, "omega2", f"must be positive, got {merged['omega2']}")
     _require(
         merged["temperature"] >= 0,
         "temperature",

@@ -41,7 +41,8 @@ class EnvironmentParams:
     lam is the dissipation constant.  lam = 0 is the undamped limit: the
     evolution is then a free rotation, which leaves the Gibbs state
     invariant, so the closed-form solution needs no special case.  Every
-    field must be finite.
+    field must be finite, and the temperature low enough that coth(w/2T)
+    is finite for both modes.
     """
 
     lam: float = 0.1
@@ -65,6 +66,9 @@ class EnvironmentParams:
             )
         if self.temperature < 0:
             raise InvalidParams(f"temperature must be non-negative, got {self.temperature}")
+        slowest = min(self.omega1, self.omega2)
+        if self.temperature > 0 and math.tanh(slowest / (2.0 * self.temperature)) == 0:
+            raise InvalidParams(f"temperature {self.temperature} is too high: tanh(w/2T) is 0")
 
 
 def propagator(p: EnvironmentParams, t: float) -> Mat4:

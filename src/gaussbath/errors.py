@@ -14,7 +14,8 @@ class NonPhysical(GaussBathError):
 
 
 class DomainError(GaussBathError, ValueError):
-    """An entropy-function argument lies outside its domain beyond tolerance."""
+    """A value lies outside its domain: an entropy-function argument below 1
+    beyond tolerance, or an exact invariant too large for a double."""
 
 
 class InvalidInput(GaussBathError, ValueError):

@@ -10,7 +10,8 @@ The measures implemented here:
 
 * logarithmic negativity E_N = max{0, -1/2 log2[4 g(sigma)]}, where
   g(sigma) is the squared smallest symplectic eigenvalue of the partial
-  transpose, computed from the block determinants;
+  transpose, whose block determinants are those of sigma with
+  det C -> -det C;
 * Gaussian quantum discord from the symplectic invariants
   alpha = 4 det A, beta = 4 det B, gamma = 4 det C, delta = 16 det sigma,
   evaluated in nats (natural logarithm) so that the usual D = 1
@@ -22,11 +23,12 @@ of 2*sigma); this is the same rescaling that makes sqrt(alpha) >= 1 and
 gives D = 0 exactly on product states.
 
 Determinant invariants are evaluated in exact integer arithmetic over the
-(dyadic) float entries.  The physically interesting states here sit on or
-near the degenerate manifold Delta^2 = 4 det sigma (symmetric states, pure
-states, equal-frequency evolution), where plain double arithmetic loses
-half its digits through sqrt of a cancellation-noise discriminant; exact
-invariants keep the eigenvalues accurate to machine precision there.
+(dyadic) float entries, and each reaches floating point through one
+correctly rounded division.  The physically interesting states here sit on
+or near the degenerate manifold Delta^2 = 4 det sigma (symmetric states,
+pure states, equal-frequency evolution), where plain double arithmetic
+loses half its digits through sqrt of a cancellation-noise discriminant;
+exact invariants keep the eigenvalues accurate to machine precision there.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ class CovarianceMatrix:
 
     @cached_property
     def _invariants(self) -> _ExactInvariants:
-        m, shift = _scaled_ints(self.sigma)
+        m, den = _scaled_ints(self.sigma)
         return _ExactInvariants(
             ints=m,
-            shift=shift,
+            den=den,
             det_a=_det2_int(m, 0, 1, 0, 1),
             det_b=_det2_int(m, 2, 3, 2, 3),
             det_c=_det2_int(m, 0, 1, 2, 3),
@@ -158,18 +160,18 @@ def blocks(state: CovarianceMatrix) -> tuple[Mat2, Mat2, Mat2]:
 
 # ----------------------------------------------------------------------------
 # Exact determinant invariants.  Float entries are dyadic rationals, so the
-# matrix can be written exactly as an integer matrix times a power of two;
-# determinants and discriminants computed over the integers carry no rounding
-# at all, and only the final conversion back to float rounds once.
+# matrix can be written exactly as an integer matrix over a power-of-two
+# denominator; determinants and discriminants computed over the integers
+# carry no rounding at all, and each conversion back to float rounds once.
 
 
 def _scaled_ints(sigma: Mat4) -> tuple[list[list[int]], int]:
-    """Exact representation sigma = ints * 2**shift, with shift <= -1."""
+    """Exact representation sigma = ints / den, with den a power of two >= 2."""
     ratios = [x.as_integer_ratio() for x in sigma.flat]
     # every denominator is a power of two, so each divides the largest
-    scale = max(2, *(d for _, d in ratios))
-    flat = [n * (scale // d) for n, d in ratios]
-    return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], 1 - scale.bit_length()
+    den = max(2, *(d for _, d in ratios))
+    flat = [n * (den // d) for n, d in ratios]
+    return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], den
 
 
 def _det2_int(m: list[list[int]], r0: int, r1: int, c0: int, c1: int) -> int:
@@ -197,30 +199,30 @@ def _det4_int(m: list[list[int]]) -> int:
     )
 
 
-def _dyadic_float(n: int, exp2: int) -> float:
-    """n * 2**exp2 as a float, accurate to one ulp for arbitrarily large n."""
-    if n == 0:
-        return 0.0
-    drop = n.bit_length() - 54
-    if drop > 0:
-        sign = -1 if n < 0 else 1
-        top, rem = divmod(abs(n), 1 << drop)
-        if 2 * rem >= (1 << drop):
-            top += 1
-        return sign * math.ldexp(float(top), exp2 + drop)
-    return math.ldexp(float(n), exp2)
+def _to_float(num: int, den: int) -> float:
+    """num / den, correctly rounded (Python's int / int); DomainError on overflow."""
+    try:
+        return num / den
+    except OverflowError as exc:
+        raise DomainError("an exact invariant lies outside the double range") from exc
 
 
 @dataclass(frozen=True)
 class _ExactInvariants:
-    """Integer block determinants of sigma at entry scale 2**shift."""
+    """Integer block determinants of sigma = ints / den.
+
+    An invariant of degree d in the entries is its integer over den**d
+    (det A, det B and det C over den**2, det sigma over den**4), rounded
+    once, correctly, by _to_float.  The partial transpose of sigma has the
+    same invariants with det C -> -det C.
+    """
 
     ints: list[list[int]]
-    shift: int
-    det_a: int  # scale 2*shift
-    det_b: int  # scale 2*shift
-    det_c: int  # scale 2*shift
-    det_sigma: int  # scale 4*shift
+    den: int
+    det_a: int
+    det_b: int
+    det_c: int
+    det_sigma: int
 
 
 def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
@@ -257,30 +259,33 @@ def separability_threshold_r(n1: float, n2: float) -> float:
     exactly when n1 * n2 = 0, so any squeezing entangles a pair with one
     mode at vacuum occupation.
     """
-    if n1 < 0 or n2 < 0:
-        raise InvalidParams(f"occupations must be non-negative, got n1={n1}, n2={n2}")
+    SqueezedThermalParams(n1, n2, 0.0)  # the occupation rule, raising InvalidParams
     ratio = (n1 + 1.0) * (n2 + 1.0) / (n1 + n2 + 1.0)
     return math.acosh(math.sqrt(max(ratio, 1.0)))
 
 
-def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic eigenvalues from the invariants of the block decomposition.
+def _squared_spectrum(
+    det_a: int, det_b: int, det_c: int, det_sigma: int, den: int
+) -> tuple[float, float]:
+    """Squared symplectic eigenvalues (nu_minus^2, nu_plus^2) from exact invariants.
 
-    With Delta = det A + det B + 2 det C, the squared eigenvalues are
-    nu_mp^2 = (Delta -+ sqrt(Delta^2 - 4 det sigma)) / 2.  The discriminant
-    is computed exactly over the integers (it vanishes identically for
-    symmetric equal-frequency states, where naive float evaluation turns
-    rounding noise into sqrt-amplified eigenvalue errors), and the smaller
-    eigenvalue uses the subtraction-free form 2 det sigma / (Delta + root).
-    Radicands negative within tolerance clamp to zero; strongly negative
-    ones mark an invalid covariance matrix.
+    The invariants are integers over den**2 (det A, det B, det C) and den**4
+    (det sigma).  With Delta = det A + det B + 2 det C, the squared
+    eigenvalues are nu_mp^2 = (Delta -+ sqrt(Delta^2 - 4 det sigma)) / 2.
+    The discriminant is computed exactly over the integers (it vanishes
+    identically for symmetric equal-frequency states, where naive float
+    evaluation turns rounding noise into sqrt-amplified eigenvalue errors),
+    and the smaller value uses the subtraction-free form
+    2 det sigma / (Delta + root).  Where the discriminant vanishes or is
+    clamped, rounding can leave the pair misordered by an ulp.  Radicands
+    negative within tolerance clamp to zero; strongly negative ones mark an
+    invalid covariance matrix.
     """
-    inv = state._invariants
-    delta_num = inv.det_a + inv.det_b + 2 * inv.det_c
-    disc_num = delta_num * delta_num - 4 * inv.det_sigma
-    big_delta = _dyadic_float(delta_num, 2 * inv.shift)
-    dets = _dyadic_float(inv.det_sigma, 4 * inv.shift)
-    disc = _dyadic_float(disc_num, 4 * inv.shift)
+    delta_num = det_a + det_b + 2 * det_c
+    den4 = den**4
+    big_delta = _to_float(delta_num, den * den)
+    dets = _to_float(det_sigma, den4)
+    disc = _to_float(delta_num * delta_num - 4 * det_sigma, den4)
     if disc < -PHYSICALITY_TOL * max(1.0, big_delta * big_delta):
         raise NonPhysical(
             f"symplectic invariant discriminant {disc:.3e} is negative beyond tolerance"
@@ -290,34 +295,32 @@ def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
             f"symplectic invariants Delta={big_delta:.3e}, det={dets:.3e} are not physical"
         )
     root = math.sqrt(max(disc, 0.0))
-    nu_small = math.sqrt(max(2.0 * dets, 0.0) / (big_delta + root))
-    nu_large = math.sqrt(0.5 * (big_delta + root))
-    # A clamped discriminant can leave the pair misordered by rounding noise.
-    return SymplecticSpectrum(
-        nu_minus=min(nu_small, nu_large), nu_plus=max(nu_small, nu_large)
-    )
+    return max(2.0 * dets, 0.0) / (big_delta + root), 0.5 * (big_delta + root)
+
+
+def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
+    """Symplectic eigenvalues of sigma: the square roots of _squared_spectrum.
+
+    Each invariant reaches floating point through one correctly rounded
+    division of exact integers; DomainError if one leaves the double range.
+    ppt_g applies the same rule to the partial transpose, det C -> -det C.
+    """
+    inv = state._invariants
+    pair = _squared_spectrum(inv.det_a, inv.det_b, inv.det_c, inv.det_sigma, inv.den)
+    nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
+    return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
 
 
 def ppt_g(state: CovarianceMatrix) -> float:
     """Squared smallest symplectic eigenvalue of the partial transpose.
 
-    g = h - sqrt(h^2 - det sigma) with h = (det A + det B)/2 - det C,
-    evaluated as det sigma / (h + sqrt(h^2 - det sigma)) to avoid the
-    subtractive cancellation near separability; the radicand is computed
-    exactly over the integers.  The state is entangled exactly when
-    4 g < 1.
+    Transposing one mode maps det C -> -det C and leaves det A, det B and
+    det sigma unchanged (Simon, PRL 84, 2726, 2000), so g is the smaller
+    value of _squared_spectrum with -det C, each invariant rounded once,
+    correctly.  The state is entangled exactly when 4 g < 1.
     """
     inv = state._invariants
-    two_h_num = inv.det_a + inv.det_b - 2 * inv.det_c
-    rad_num = two_h_num * two_h_num - 4 * inv.det_sigma  # 4 * radicand
-    h = _dyadic_float(two_h_num, 2 * inv.shift - 1)
-    rad = _dyadic_float(rad_num, 4 * inv.shift - 2)
-    dets = _dyadic_float(inv.det_sigma, 4 * inv.shift)
-    if rad < -PHYSICALITY_TOL * max(1.0, h * h):
-        raise NonPhysical(f"partial-transpose radicand {rad:.3e} is negative beyond tolerance")
-    if h <= 0.0:
-        raise NonPhysical(f"non-positive partial-transpose invariant h={h:.3e}")
-    g = dets / (h + math.sqrt(max(rad, 0.0)))
+    g, _ = _squared_spectrum(inv.det_a, inv.det_b, -inv.det_c, inv.det_sigma, inv.den)
     if g <= 0.0:
         raise NonPhysical(f"non-positive partial-transpose invariant g={g:.3e}")
     return g
@@ -406,21 +409,16 @@ def discord_invariants(
     if measured_mode is MeasuredMode.MODE1:
         a_num, b_num = b_num, a_num
     c_num, s_num = inv.det_c, inv.det_sigma
-    # alpha = a_num * 2**q etc., delta = s_num * 2**(2q); k = -q >= 0
-    q = 2 * inv.shift + 2
-    k = -q
-    one = 1 << k
-    alpha = _dyadic_float(a_num, q)
-    beta = _dyadic_float(b_num, q)
-    gamma = _dyadic_float(c_num, q)
-    delta = _dyadic_float(s_num, 2 * q)
+    # 4 det A = a_num / one with one = den**2 / 4, and 16 det sigma = s_num / one**2
+    one = inv.den * inv.den // 4
+    alpha, beta, gamma = (_to_float(x, one) for x in (a_num, b_num, c_num))
+    delta = _to_float(s_num, one * one)
+    c2_num = c_num * c_num
+    lead_num = (s_num - a_num * b_num) ** 2
 
     # (delta - alpha beta)^2 <= (beta + 1) gamma^2 (alpha + delta), cleared
-    # of the common power-of-two denominators
-    branch_one = (s_num - a_num * b_num) ** 2 * one <= c_num * c_num * (b_num + one) * (
-        (a_num << k) + s_num
-    )
-    if branch_one:
+    # of the common denominators
+    if lead_num * one <= c2_num * (b_num + one) * (a_num * one + s_num):
         if abs(beta - 1.0) < _PURE_MODE_TOL:
             # Measured mode is pure; it cannot carry cross-correlations.
             if abs(gamma) < _PURE_MODE_TOL:
@@ -430,45 +428,30 @@ def discord_invariants(
                     f"pure measured mode (beta={beta!r}) with nonzero gamma={gamma!r}"
                 )
         else:
-            # gamma^2 + (beta - 1)(delta - alpha), numerator at scale 2**(-3k)
-            cross_num = (b_num - one) * (s_num - (a_num << k))
-            gamma2_num = c_num * c_num << k
-            inner = _dyadic_float(gamma2_num + cross_num, -3 * k)
+            # gamma^2 + (beta - 1)(delta - alpha), numerator over one**3
+            cross_num = (b_num - one) * (s_num - a_num * one)
             root = _clamped_sqrt(
-                inner,
+                _to_float(c2_num * one + cross_num, one**3),
                 "conditional-branch radicand",
-                scale=gamma * gamma + abs(_dyadic_float(cross_num, -3 * k)),
+                scale=gamma * gamma + abs(_to_float(cross_num, one**3)),
             )
-            numerator = _dyadic_float(2 * gamma2_num + cross_num, -3 * k) + 2.0 * abs(
-                gamma
-            ) * root
-            epsilon = numerator / _dyadic_float((b_num - one) ** 2, -2 * k)
+            numerator = _to_float(2 * c2_num * one + cross_num, one**3) + 2.0 * abs(gamma) * root
+            epsilon = numerator / _to_float((b_num - one) ** 2, one * one)
         branch = Branch.ONE
     else:
         # gamma^4 + (delta - alpha beta)^2 - 2 gamma^2 (delta + alpha beta),
-        # numerator at scale 2**(-4k)
-        quart_num = c_num**4
-        lead_num = (s_num - a_num * b_num) ** 2
-        mix_num = 2 * c_num * c_num * (s_num + a_num * b_num)
-        inner = _dyadic_float(quart_num + lead_num - mix_num, -4 * k)
+        # numerator over one**4
+        mix_num = 2 * c2_num * (s_num + a_num * b_num)
         root = _clamped_sqrt(
-            inner,
+            _to_float(c2_num * c2_num + lead_num - mix_num, one**4),
             "conditional-branch radicand",
-            scale=_dyadic_float(quart_num + lead_num + abs(mix_num), -4 * k),
+            scale=_to_float(c2_num * c2_num + lead_num + abs(mix_num), one**4),
         )
-        epsilon = (_dyadic_float(a_num * b_num - c_num * c_num + s_num, -2 * k) - root) / (
-            2.0 * beta
-        )
+        epsilon = (_to_float(a_num * b_num - c2_num + s_num, one * one) - root) / (2.0 * beta)
         branch = Branch.TWO
 
-    _log.debug(
-        "conditional invariant branch %s (alpha=%g beta=%g gamma=%g delta=%g)",
-        branch.name,
-        alpha,
-        beta,
-        gamma,
-        delta,
-    )
+    msg = "conditional invariant branch %s (alpha=%g beta=%g gamma=%g delta=%g)"
+    _log.debug(msg, branch.name, alpha, beta, gamma, delta)
     return DiscordInvariants(
         alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, branch=branch
     )

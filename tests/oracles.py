@@ -9,18 +9,23 @@ None of this is used by the package itself:
 * ``expm_generic`` is a scaling-and-squaring matrix exponential, as an
   oracle for the analytic ``propagator``;
 * ``det2``/``det3``/``det4`` are plain float cofactor determinants, as an
-  oracle for the exact integer invariants.
+  oracle for the exact integer invariants;
+* ``mp_measures`` recomputes E_N, D and nu_minus from the exact float
+  entries with rational determinants and 60-digit ``mpmath`` arithmetic,
+  as an oracle for the whole static-measure path.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from gaussbath.dynamics import EnvironmentParams
 from gaussbath.errors import InvalidParams
-from gaussbath.states import CovarianceMatrix, Mat2, Mat4
+from gaussbath.states import CovarianceMatrix, Mat2, Mat4, MeasuredMode
 
 # Scaling-and-squaring parameters: halve until the 1-norm is at or below
 # _SQUARING_THRESHOLD, then evaluate a Taylor polynomial of this order.
@@ -138,3 +143,70 @@ def evolve_rk4(
     if remainder > 1e-15 * max(t, 1.0):
         s = step(s, remainder)
     return CovarianceMatrix(s)
+
+
+def _det_exact(m: list[list[Fraction]]) -> Fraction:
+    """Leibniz determinant over the rationals: no rounding at all."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def mp_measures(
+    state: CovarianceMatrix, measured_mode: MeasuredMode = MeasuredMode.MODE2
+) -> tuple[float, float, float]:
+    """(E_N in bits, Gaussian discord D in nats, nu_minus) at 60 digits.
+
+    The block determinants of the exact float entries are rational numbers;
+    everything after them (the symplectic pairs of sigma and of its partial
+    transpose, the Adesso-Datta conditional invariant and the entropies)
+    runs in ``mpmath`` at 60 significant digits.
+    """
+    import mpmath
+
+    q = [[Fraction(x) for x in row] for row in state.sigma.tolist()]
+    det_a, det_b = _det_exact([r[:2] for r in q[:2]]), _det_exact([r[2:] for r in q[2:]])
+    det_c, det_s = _det_exact([r[2:] for r in q[:2]]), _det_exact(q)
+    with mpmath.workdps(60):
+
+        def mp(x: Fraction) -> mpmath.mpf:
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        def squared_pair(dc: Fraction) -> tuple[mpmath.mpf, mpmath.mpf]:
+            big_delta = det_a + det_b + 2 * dc
+            root = mpmath.sqrt(mp(big_delta * big_delta - 4 * det_s))
+            return (mp(big_delta) - root) / 2, (mp(big_delta) + root) / 2
+
+        def f(x: mpmath.mpf) -> mpmath.mpf:
+            if x <= 1:
+                return mpmath.mpf(0)
+            return (x + 1) / 2 * mpmath.log((x + 1) / 2) - (x - 1) / 2 * mpmath.log((x - 1) / 2)
+
+        nu2_minus, nu2_plus = squared_pair(det_c)
+        g, _ = squared_pair(-det_c)
+        e_n = max(mpmath.mpf(0), -mpmath.log(4 * g, 2) / 2)
+
+        if measured_mode is MeasuredMode.MODE1:
+            det_a, det_b = det_b, det_a
+        alpha, beta, gamma, delta = mp(4 * det_a), mp(4 * det_b), mp(4 * det_c), mp(16 * det_s)
+        if (delta - alpha * beta) ** 2 <= (beta + 1) * gamma**2 * (alpha + delta):
+            cross = (beta - 1) * (delta - alpha)
+            root = mpmath.sqrt(gamma**2 + cross)
+            epsilon = (2 * gamma**2 + cross + 2 * abs(gamma) * root) / (beta - 1) ** 2
+        else:
+            root = mpmath.sqrt(
+                gamma**4 + (delta - alpha * beta) ** 2 - 2 * gamma**2 * (delta + alpha * beta)
+            )
+            epsilon = (alpha * beta - gamma**2 + delta - root) / (2 * beta)
+        discord = (
+            f(mpmath.sqrt(beta))
+            - f(2 * mpmath.sqrt(nu2_minus))
+            - f(2 * mpmath.sqrt(nu2_plus))
+            + f(mpmath.sqrt(epsilon))
+        )
+        return float(e_n), float(discord), float(mpmath.sqrt(nu2_minus))

@@ -80,6 +80,40 @@ def test_non_finite_squeezing_is_usage_error(capsys):
     assert "r must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n1", -1), ("n2", -1), ("mass", 0), ("omega1", 0), ("omega2", -1)]
+)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_parameter_rejected_by_library_is_usage_error(key, value, via, tmp_path, capsys):
+    argv = ["evolve", f"--{key}", str(value)]
+    if via == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["evolve", "--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["evolve", "--temperature", "1e308"], 2),
+        (["esd", "--temperature", "1e308"], 2),
+        (["sweep", "--temp-max", "1e308"], 1),
+        (["evolve", "--temperature", "1e200"], 1),
+        (["evolve", "--temperature", "1e60"], 1),
+    ],
+    ids=["evolve-1e308", "esd-1e308", "sweep-1e308", "evolve-1e200", "evolve-1e60"],
+)
+def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys):
+    # tanh(w/2T) is 0 at T = 1e308 (exit 2); below that an invariant overflows (exit 1)
+    assert main(argv + ["--output", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["sweep", "--frequency", "2"]) == 2
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import det4
+from oracles import det4, mp_measures
 
+from gaussbath.dynamics import EnvironmentParams, evolution
 from gaussbath.errors import DomainError, InvalidParams, NonPhysical
 from gaussbath.states import (
     Branch,
@@ -168,8 +169,9 @@ def test_threshold_agrees_with_brute_force_ppt_near_zero():
 
 
 def test_threshold_rejects_negative_occupation():
-    with pytest.raises(InvalidParams):
-        separability_threshold_r(-1.0, 0.0)
+    for n1, n2 in ((-1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidParams):
+            separability_threshold_r(n1, n2)
 
 
 def test_entanglement_iff_r_above_threshold():
@@ -481,3 +483,34 @@ def test_invariants_pure_measured_mode_with_correlations_rejected():
     )
     with pytest.raises(NonPhysical):
         discord_invariants(CovarianceMatrix(sigma))
+
+
+# ---------------------------------------------------------------- precision
+
+
+def test_measures_match_high_precision_reference():
+    # 60-digit mpmath on the exact float entries; t up to 30 reaches the
+    # second discord branch at omega2 = 1.7, T = 0
+    pytest.importorskip("mpmath")
+    s0 = build_squeezed_thermal(SqueezedThermalParams(1.0, 1.0, 2.0))
+    branches = set()
+    for omega2 in (1.0, 1.7):
+        for temperature in (0.0, 1.0, 4.0):
+            env = EnvironmentParams(lam=0.1, omega2=omega2, temperature=temperature)
+            state_at = evolution(s0, env)
+            for t in np.linspace(0.0, 30.0, 20):
+                state = state_at(t)
+                for mode in MeasuredMode:
+                    e_n, discord, nu_minus = mp_measures(state, mode)
+                    assert abs(log_negativity(state) - e_n) <= 1e-14
+                    assert abs(gaussian_discord(state, mode) - discord) <= 1e-13
+                    assert abs(symplectic_spectrum(state).nu_minus - nu_minus) <= 1e-14
+                    branches.add(discord_invariants(state, mode).branch)
+    assert branches == {Branch.ONE, Branch.TWO}
+
+
+@pytest.mark.parametrize("measure", [ppt_g, symplectic_spectrum, gaussian_discord])
+def test_invariant_outside_double_range_is_domain_error(measure):
+    # det sigma = 1e400 has no double; the conversion names the failure
+    with pytest.raises(DomainError):
+        measure(CovarianceMatrix(1e100 * np.eye(4)))
