@@ -7,10 +7,7 @@ discord tracked along the evolution.
 
 from .analysis import (
     SweepRow,
-    SweepTable,
-    ThresholdTag,
     TrajectoryPoint,
-    classify_threshold,
     sudden_death_time,
     sweep,
     trajectory,
@@ -19,7 +16,6 @@ from .dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
     evolution,
-    evolve_closed,
     propagator,
 )
 from .errors import (
@@ -28,7 +24,6 @@ from .errors import (
     InvalidInput,
     InvalidParams,
     NonPhysical,
-    ThresholdInconsistency,
 )
 from .states import (
     Branch,
@@ -37,12 +32,10 @@ from .states import (
     MeasuredMode,
     SqueezedThermalParams,
     SymplecticSpectrum,
-    blocks,
     build_squeezed_thermal,
     discord_invariants,
     f_entropy,
     gaussian_discord,
-    is_physical,
     log_negativity,
     ppt_g,
     separability_threshold_r,
@@ -64,21 +57,14 @@ __all__ = [
     "NonPhysical",
     "SqueezedThermalParams",
     "SweepRow",
-    "SweepTable",
     "SymplecticSpectrum",
-    "ThresholdInconsistency",
-    "ThresholdTag",
     "TrajectoryPoint",
     "asymptotic_covariance",
-    "blocks",
     "build_squeezed_thermal",
-    "classify_threshold",
     "discord_invariants",
     "evolution",
-    "evolve_closed",
     "f_entropy",
     "gaussian_discord",
-    "is_physical",
     "log_negativity",
     "ppt_g",
     "propagator",

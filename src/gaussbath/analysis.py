@@ -3,6 +3,7 @@
 Time series of logarithmic negativity and Gaussian discord along the
 dissipative evolution, detection of entanglement sudden death via a sign
 change of 4 g(sigma(t)) - 1, and rectangular (time, temperature) sweeps.
+All three take the initial CovarianceMatrix and the bath parameters.
 Every grid cell is an independent pure computation, so tables come out
 identical regardless of evaluation order.  Each loop builds one
 ``evolution`` per bath temperature, so the Gibbs state is not rebuilt per cell.
@@ -12,16 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
 from .dynamics import EnvironmentParams, evolution
-from .errors import GaussBathError, InvalidInput, InvalidParams, ThresholdInconsistency
+from .errors import GaussBathError, InvalidInput, InvalidParams
 from .states import (
     CovarianceMatrix,
     MeasuredMode,
-    SqueezedThermalParams,
-    build_squeezed_thermal,
     gaussian_discord,
     log_negativity,
     ppt_g,
@@ -32,15 +30,6 @@ from .states import (
 # entanglement witness oscillates at period pi, so t_max/2000 points
 # resolve every sign change by a wide margin.
 _SCAN_POINTS = 2000
-
-_DISCORD_THRESHOLD = 1.0 + 1e-12
-
-
-class ThresholdTag(Enum):
-    """Classification of a sweep row against the discord entanglement threshold."""
-
-    ABOVE_ONE = "above_one"
-    BETWEEN_ZERO_AND_ONE = "between_zero_and_one"
 
 
 @dataclass(frozen=True)
@@ -66,22 +55,6 @@ class SweepRow:
     temperature: float
     e_n: float
     discord: float
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Rectangular sweep result in lexicographic (temperature, t) row order.
-
-    env_base carries the dissipation, mass and frequencies; its temperature
-    field is replaced by each row's grid value.
-    """
-
-    rows: tuple[SweepRow, ...]
-    state: SqueezedThermalParams
-    env_base: EnvironmentParams
-    t_grid: tuple[float, ...]
-    temperature_grid: tuple[float, ...]
-    measured_mode: MeasuredMode
 
 
 def _check_grid(grid: Sequence[float], name: str) -> tuple[float, ...]:
@@ -173,21 +146,21 @@ def sudden_death_time(
 
 
 def sweep(
-    state_params: SqueezedThermalParams,
+    s0: CovarianceMatrix,
     env_base: EnvironmentParams,
     t_grid: Sequence[float],
     temperature_grid: Sequence[float],
     measured_mode: MeasuredMode = MeasuredMode.MODE2,
-) -> SweepTable:
+) -> list[SweepRow]:
     """Rectangular (t, T) sweep of negativity and discord.
 
-    Rows are emitted in lexicographic (temperature, t) order; each cell is
-    an independent computation from the initial state, so the table is
-    deterministic and complete.
+    env_base carries the dissipation, mass and frequencies; its temperature
+    is replaced by each grid value.  Rows come in lexicographic
+    (temperature, t) order; each cell is an independent computation from
+    s0, so the table is deterministic and complete.
     """
     times = _check_grid(t_grid, "t_grid")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
-    s0 = build_squeezed_thermal(state_params)
     rows = []
     for temperature in temperatures:
         state_at = evolution(s0, replace(env_base, temperature=temperature))
@@ -198,33 +171,4 @@ def sweep(
             except GaussBathError as exc:
                 raise type(exc)(f"at cell (t={t:g}, T={temperature:g}): {exc}") from exc
             rows.append(SweepRow(t, temperature, e_n, discord))
-    return SweepTable(
-        rows=tuple(rows),
-        state=state_params,
-        env_base=env_base,
-        t_grid=times,
-        temperature_grid=temperatures,
-        measured_mode=measured_mode,
-    )
-
-
-def classify_threshold(table: SweepTable) -> list[ThresholdTag]:
-    """Tag each sweep row against the discord entanglement threshold D = 1.
-
-    Every row with discord above 1 must be entangled; a violation aborts
-    because it can only come from a convention bug (logarithm base or
-    eigenvalue scaling), never from the physics.
-    """
-    tags = []
-    for row in table.rows:
-        if row.discord > _DISCORD_THRESHOLD:
-            if row.e_n <= 0.0:
-                raise ThresholdInconsistency(
-                    f"discord {row.discord:.6g} > 1 with zero negativity at "
-                    f"(t={row.t:g}, T={row.temperature:g}); check the logarithm "
-                    "base or eigenvalue scaling"
-                )
-            tags.append(ThresholdTag.ABOVE_ONE)
-        else:
-            tags.append(ThresholdTag.BETWEEN_ZERO_AND_ONE)
-    return tags
+    return rows

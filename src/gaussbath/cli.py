@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -184,16 +184,22 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         f"must be at least 1, got {merged['temp-points']}",
     )
 
+    env = EnvironmentParams(
+        lam=merged["lambda"],
+        m=merged["mass"],
+        omega1=merged["omega1"],
+        omega2=merged["omega2"],
+        temperature=merged["temperature"],
+    )
+    try:
+        replace(env, temperature=merged["temp-max"])  # the bath's rule at the hottest grid cell
+    except InvalidParams as exc:
+        raise UsageError(f"--temp-max: {exc}") from exc
+
     return RunConfig(
         command=args.command,
         state=SqueezedThermalParams(n1=merged["n1"], n2=merged["n2"], r=merged["squeezing"]),
-        env=EnvironmentParams(
-            lam=merged["lambda"],
-            m=merged["mass"],
-            omega1=merged["omega1"],
-            omega2=merged["omega2"],
-            temperature=merged["temperature"],
-        ),
+        env=env,
         t_max=merged["t-max"],
         points=merged["points"],
         temp_max=merged["temp-max"],
@@ -262,10 +268,11 @@ def _run_evolve(config: RunConfig, out_path: Path) -> None:
 
 
 def _run_sweep(config: RunConfig, out_path: Path) -> None:
+    s0 = build_squeezed_thermal(config.state)
     t_grid = np.linspace(0.0, config.t_max, config.points)
     temperature_grid = np.linspace(0.0, config.temp_max, config.temp_points)
-    table = sweep(config.state, config.env, t_grid, temperature_grid, config.measured_mode)
-    rows = ((row.t, row.temperature, row.e_n, row.discord) for row in table.rows)
+    cells = sweep(s0, config.env, t_grid, temperature_grid, config.measured_mode)
+    rows = ((row.t, row.temperature, row.e_n, row.discord) for row in cells)
     _write_table(config, out_path, ("t", "T", "E_N", "discord"), rows)
 
 

@@ -122,8 +122,3 @@ def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], C
         return CovarianceMatrix(m @ shifted @ m.T + s_inf)
 
     return at
-
-
-def evolve_closed(s0: CovarianceMatrix, p: EnvironmentParams, t: float) -> CovarianceMatrix:
-    """Covariance matrix at time t: ``evolution(s0, p)(t)``."""
-    return evolution(s0, p)(t)

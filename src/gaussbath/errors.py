@@ -21,11 +21,3 @@ class DomainError(GaussBathError, ValueError):
 class InvalidInput(GaussBathError, ValueError):
     """An operation was called with inputs that make it meaningless (e.g. a
     separable state handed to the sudden-death search)."""
-
-
-class ThresholdInconsistency(GaussBathError):
-    """A sweep row has discord above one but zero logarithmic negativity.
-
-    This signals a convention bug (logarithm base or eigenvalue scaling),
-    not a physics result.
-    """

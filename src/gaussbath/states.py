@@ -44,8 +44,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainError, InvalidParams, NonPhysical
 
-# 2x2 and 4x4 real matrices are represented as plain float64 arrays.
-Mat2 = NDArray[np.float64]
+# 4x4 real matrices are represented as plain float64 arrays.
 Mat4 = NDArray[np.float64]
 
 _log = logging.getLogger(__name__)
@@ -150,12 +149,6 @@ class DiscordInvariants:
     delta: float
     epsilon: float
     branch: Branch
-
-
-def blocks(state: CovarianceMatrix) -> tuple[Mat2, Mat2, Mat2]:
-    """Split sigma into mode blocks (A, C; C^T, B) and return (A, B, C)."""
-    s = state.sigma
-    return s[:2, :2].copy(), s[2:, 2:].copy(), s[:2, 2:].copy()
 
 
 # ----------------------------------------------------------------------------
@@ -338,6 +331,8 @@ def log_negativity(state: CovarianceMatrix) -> float:
 def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     """Symplectic spectrum of a bona fide state; raises NonPhysical otherwise.
 
+    This is the one physicality check; gaussian_discord raises on it.
+
     Bona fide means positive definite, decided by the exact signs of the
     leading principal minors, and 2 nu_minus >= 1 - 1e-9.  The minors are
     needed: -sigma of a bona fide sigma has the same spectrum.
@@ -351,19 +346,6 @@ def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     if 2.0 * spectrum.nu_minus < 1.0 - PHYSICALITY_TOL:
         raise NonPhysical(f"2 nu_minus = {2.0 * spectrum.nu_minus:.6g} is below 1 beyond tolerance")
     return spectrum
-
-
-def is_physical(state: CovarianceMatrix) -> bool:
-    """True iff sigma is positive definite and 2 nu_minus >= 1 - 1e-9.
-
-    Every CovarianceMatrix is exactly symmetric by construction.  This is
-    the check gaussian_discord raises on, returned as a flag.
-    """
-    try:
-        _bona_fide_spectrum(state)
-    except NonPhysical:
-        return False
-    return True
 
 
 def f_entropy(x: float) -> float:
@@ -472,8 +454,8 @@ def gaussian_discord(
     Raises
     ------
     NonPhysical
-        If the state is not bona fide (see is_physical) or the invariants
-        are inconsistent.
+        If the state is not bona fide (positive definite with
+        2 nu_minus >= 1 - 1e-9) or the invariants are inconsistent.
     DomainError
         If an entropy argument falls below its domain beyond tolerance.
     """

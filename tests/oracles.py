@@ -5,14 +5,16 @@ None of this is used by the package itself:
 * ``drift_matrix`` and ``thermal_diffusion`` spell out the equation of
   motion d sigma/dt = Y sigma + sigma Y^T + 2 D term by term;
 * ``evolve_rk4`` integrates that equation with fixed-step Runge-Kutta, as
-  an oracle for the closed-form ``evolve_closed``;
+  an oracle for the closed-form ``evolution``;
 * ``expm_generic`` is a scaling-and-squaring matrix exponential, as an
   oracle for the analytic ``propagator``;
 * ``det2``/``det3``/``det4`` are plain float cofactor determinants, as an
   oracle for the exact integer invariants;
 * ``mp_measures`` recomputes E_N, D and nu_minus from the exact float
   entries with rational determinants and 60-digit ``mpmath`` arithmetic,
-  as an oracle for the whole static-measure path.
+  as an oracle for the whole static-measure path;
+* ``is_physical`` reads the package's bona fide check, the one
+  ``gaussian_discord`` raises on, as a flag.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from itertools import permutations
 import numpy as np
 
 from gaussbath.dynamics import EnvironmentParams
-from gaussbath.errors import InvalidParams
-from gaussbath.states import CovarianceMatrix, Mat2, Mat4, MeasuredMode
+from gaussbath.errors import InvalidParams, NonPhysical
+from gaussbath.states import CovarianceMatrix, Mat4, MeasuredMode, _bona_fide_spectrum
 
 # Scaling-and-squaring parameters: halve until the 1-norm is at or below
 # _SQUARING_THRESHOLD, then evaluate a Taylor polynomial of this order.
@@ -33,7 +35,7 @@ _SQUARING_THRESHOLD = 0.5
 _TAYLOR_ORDER = 16
 
 
-def det2(m: Mat2) -> float:
+def det2(m: np.ndarray) -> float:
     """Determinant of a 2x2 matrix, ad - bc."""
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
@@ -210,3 +212,16 @@ def mp_measures(
             + f(mpmath.sqrt(epsilon))
         )
         return float(e_n), float(discord), float(mpmath.sqrt(nu2_minus))
+
+
+def is_physical(state: CovarianceMatrix) -> bool:
+    """True iff sigma is positive definite and 2 nu_minus >= 1 - 1e-9.
+
+    Every CovarianceMatrix is exactly symmetric by construction.  This is
+    the check gaussian_discord raises on, returned as a flag.
+    """
+    try:
+        _bona_fide_spectrum(state)
+    except NonPhysical:
+        return False
+    return True

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from oracles import drift_matrix, evolve_rk4, thermal_diffusion
 
-from gaussbath.analysis import classify_threshold, sudden_death_time, sweep, trajectory
+from gaussbath.analysis import sudden_death_time, sweep, trajectory
 from gaussbath.cli import main as cli_main
-from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, evolve_closed
+from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, evolution
 from gaussbath.states import (
     CovarianceMatrix,
     SqueezedThermalParams,
@@ -33,7 +33,9 @@ T_GRID = np.linspace(0.0, 20.0, 200)
 TEMPERATURE_GRID = np.linspace(0.0, 4.0, 40)
 
 # locked by this implementation's bisection after criterion 1 held;
-# the RK4 oracle confirms the witness sign change at this time
+# the RK4 oracle confirms the witness sign change at this time, and the
+# closed form t_esd = ln[(coth(1/2T) - 3 e^{-4}) / (coth(1/2T) - 1)] / (2 lam)
+# of this symmetric state gives 2.9719732809
 T_STAR_REGRESSION = 2.9719735717773443
 
 # smallest doubled symplectic eigenvalue seen by each criterion, for C9
@@ -84,7 +86,7 @@ def test_c01_closed_form_agrees_with_rk4_oracle():
     for temperature in (0.0, 1.0):
         p = _env(temperature)
         for t in (1.0, 5.0, 20.0):
-            closed = evolve_closed(s0, p, t)
+            closed = evolution(s0, p)(t)
             integrated = evolve_rk4(s0, p, t, 1e-3)
             worst = max(worst, float(np.max(np.abs(closed.sigma - integrated.sigma))))
             _watch("C1", (closed, integrated))
@@ -138,13 +140,13 @@ def test_c04_entanglement_sudden_death():
     dead_after = True
     if finite_death:
         warm_points = trajectory(s0, warm, T_GRID)
-        _watch("C4", (evolve_closed(s0, warm, t) for t in (t_star - 0.01, t_star + 0.01)))
+        _watch("C4", (evolution(s0, warm)(t) for t in (t_star - 0.01, t_star + 0.01)))
         dead_after = all(pt.e_n == 0.0 for pt in warm_points if pt.t > t_star)
 
     cold = _env(0.0)
     no_cold_death = sudden_death_time(s0, cold, 20.0) is None
     cold_start = log_negativity(s0)
-    cold_end = log_negativity(evolve_closed(s0, cold, 20.0))
+    cold_end = log_negativity(evolution(s0, cold)(20.0))
     cold_decays = 0.0 < cold_end < cold_start
 
     ok = finite_death and regression and dead_after and no_cold_death and cold_decays
@@ -163,8 +165,8 @@ def test_c05_stronger_dissipation_kills_entanglement_earlier():
     _watch(
         "C5",
         (
-            evolve_closed(s0, _env(1.0, lam=0.1), t_weak),
-            evolve_closed(s0, _env(1.0, lam=0.2), t_strong),
+            evolution(s0, _env(1.0, lam=0.1))(t_weak),
+            evolution(s0, _env(1.0, lam=0.2))(t_strong),
         ),
     )
     ok = t_strong < t_weak
@@ -187,7 +189,7 @@ def test_c07_discord_properties(entangled_trajectories):
     s0 = build_squeezed_thermal(FIG_STATE)
     late = []
     for temperature in (0.0, 1.0, 2.0):
-        state = evolve_closed(s0, _env(temperature), 250.0)
+        state = evolution(s0, _env(temperature))(250.0)
         _watch("C7", (state,))
         late.append(gaussian_discord(state))
     late_ok = all(d <= 1e-6 for d in late)
@@ -220,11 +222,10 @@ def test_c07_discord_properties(entangled_trajectories):
 
 
 def test_c08_discord_above_one_implies_entanglement():
-    table = sweep(FIG_STATE, _env(0.0), T_GRID, TEMPERATURE_GRID)
-    tags = classify_threshold(table)  # raises ThresholdInconsistency on violation
-    above = [row for row in table.rows if row.discord > 1.0 + 1e-12]
+    rows = sweep(build_squeezed_thermal(FIG_STATE), _env(0.0), T_GRID, TEMPERATURE_GRID)
+    above = [row for row in rows if row.discord > 1.0 + 1e-12]
     violations = [row for row in above if row.e_n <= 0.0]
-    ok = len(violations) == 0 and len(above) > 0 and len(tags) == len(table.rows)
+    ok = len(violations) == 0 and len(above) > 0
     _report(
         "C8",
         ok,

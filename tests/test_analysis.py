@@ -1,24 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import evolve_rk4
 
 from gaussbath import analysis, dynamics, states
-from gaussbath.analysis import (
-    SweepRow,
-    SweepTable,
-    ThresholdTag,
-    classify_threshold,
-    sudden_death_time,
-    sweep,
-    trajectory,
-)
-from gaussbath.dynamics import EnvironmentParams, evolve_closed
-from gaussbath.errors import (
-    InvalidInput,
-    InvalidParams,
-    NonPhysical,
-    ThresholdInconsistency,
-)
+from gaussbath.analysis import sudden_death_time, sweep, trajectory
+from gaussbath.dynamics import EnvironmentParams, evolution
+from gaussbath.errors import InvalidInput, InvalidParams, NonPhysical
 from gaussbath.states import (
     MeasuredMode,
     SqueezedThermalParams,
@@ -30,9 +19,11 @@ from gaussbath.states import (
 )
 
 FIG_STATE = SqueezedThermalParams(n1=1.0, n2=1.0, r=2.0)
+FIG_S0 = build_squeezed_thermal(FIG_STATE)
 
 # locked regression from this implementation's own bisection, cross-checked
-# against the RK4 integrator in test_sudden_death_sign_change_confirmed_by_rk4
+# against the RK4 integrator in test_sudden_death_sign_change_confirmed_by_rk4;
+# the closed form of test_sudden_death_matches_closed_form gives 2.9719732809
 T_STAR_T1_LAM01 = 2.9719735717773443
 
 
@@ -90,6 +81,45 @@ def test_sudden_death_warm_bath_regression():
     assert t_star == pytest.approx(T_STAR_T1_LAM01, abs=5e-6)
 
 
+def closed_form_death_time(n, r, lam, temperature):
+    """t_esd for n1 = n2 = n and omega1 = omega2 = m = 1.
+
+    a - c, half the variance of x1 - x2, starts at (n + 1/2) e^{-2r} and
+    relaxes monotonically to coth(1/2T)/2; the state is separable once
+    a - c reaches 1/2:
+    t_esd = ln[(coth(1/2T) - (2n+1) e^{-2r}) / (coth(1/2T) - 1)] / (2 lam).
+    """
+    coth = 1.0 / math.tanh(1.0 / (2.0 * temperature))
+    return math.log((coth - (2 * n + 1) * math.exp(-2 * r)) / (coth - 1.0)) / (2.0 * lam)
+
+
+@pytest.mark.parametrize(
+    "n, r, lam, temperature",
+    [
+        (0.0, 0.8, 0.05, 0.5),
+        (0.0, 1.7, 0.1, 0.5),
+        (0.0, 3.0, 0.3, 4.0),
+        (0.5, 0.8, 0.3, 4.0),
+        (0.5, 1.2, 0.1, 1.0),
+        (0.5, 2.5, 0.05, 4.0),
+        (1.0, 1.5, 0.3, 0.5),
+        (1.0, 2.0, 0.1, 1.0),
+        (1.0, 3.0, 0.05, 1.0),
+        (2.0, 1.1, 0.1, 4.0),
+        (2.0, 2.2, 0.3, 1.0),
+        (2.0, 3.0, 0.05, 0.5),
+    ],
+)
+def test_sudden_death_matches_closed_form(n, r, lam, temperature):
+    s0 = build_squeezed_thermal(SqueezedThermalParams(n, n, r))
+    expected = closed_form_death_time(n, r, lam, temperature)
+    t_max = max(20.0, 2.0 * expected)
+    t_star = sudden_death_time(s0, fig_env(temperature, lam=lam), t_max)
+    assert abs(t_star - expected) <= 1e-6
+    # at T = 0 the variance relaxes to 1/2 from below and never reaches it
+    assert sudden_death_time(s0, fig_env(0.0, lam=lam), t_max) is None
+
+
 def test_sudden_death_sign_change_confirmed_by_rk4():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = fig_env(1.0)
@@ -112,7 +142,7 @@ def test_sudden_death_is_permanent_on_grid():
     t_star = sudden_death_time(s0, p, 20.0)
     for t in np.linspace(0.0, 20.0, 200):
         if t > t_star:
-            e_n = log_negativity(evolve_closed(s0, p, float(t)))
+            e_n = log_negativity(evolution(s0, p)(float(t)))
             assert e_n == 0.0, f"revival at t={t} would be a finding, not noise"
 
 
@@ -123,7 +153,7 @@ def test_discord_continuous_across_death_time():
     delta = 1e-3
 
     def discord_at(t):
-        return gaussian_discord(evolve_closed(s0, p, t))
+        return gaussian_discord(evolution(s0, p)(t))
 
     jump = abs(discord_at(t_star + delta) - discord_at(t_star - delta))
     slope = (
@@ -173,9 +203,9 @@ def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
 
 def test_sweep_single_cell_at_origin():
     s0 = build_squeezed_thermal(FIG_STATE)
-    table = sweep(FIG_STATE, fig_env(0.0), [0.0], [0.7])
-    assert len(table.rows) == 1
-    row = table.rows[0]
+    rows = sweep(FIG_S0, fig_env(0.0), [0.0], [0.7])
+    assert len(rows) == 1
+    row = rows[0]
     assert row.t == 0.0
     assert row.temperature == 0.7
     assert row.e_n == log_negativity(s0)
@@ -185,16 +215,16 @@ def test_sweep_single_cell_at_origin():
 def test_sweep_row_order_is_lexicographic():
     t_grid = [0.0, 1.0, 2.0]
     temperature_grid = [0.0, 1.0]
-    table = sweep(FIG_STATE, fig_env(0.0), t_grid, temperature_grid)
-    assert len(table.rows) == 6
-    seen = [(row.temperature, row.t) for row in table.rows]
+    rows = sweep(FIG_S0, fig_env(0.0), t_grid, temperature_grid)
+    assert len(rows) == 6
+    seen = [(row.temperature, row.t) for row in rows]
     assert seen == sorted(seen)
 
 
 def test_sweep_discord_decreases_with_temperature():
-    table = sweep(FIG_STATE, fig_env(0.0), [2.0, 5.0, 10.0], [0.0, 0.5, 1.0, 2.0])
+    rows = sweep(FIG_S0, fig_env(0.0), [2.0, 5.0, 10.0], [0.0, 0.5, 1.0, 2.0])
     by_time = {}
-    for row in table.rows:
+    for row in rows:
         by_time.setdefault(row.t, []).append(row.discord)
     for values in by_time.values():
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -203,28 +233,28 @@ def test_sweep_discord_decreases_with_temperature():
 def test_sweep_rows_independent_of_evaluation_order():
     t_grid = np.linspace(0.0, 10.0, 7)
     temperature_grid = np.linspace(0.0, 2.0, 4)
-    table = sweep(FIG_STATE, fig_env(0.0), t_grid, temperature_grid)
+    rows = sweep(FIG_S0, fig_env(0.0), t_grid, temperature_grid)
     s0 = build_squeezed_thermal(FIG_STATE)
     # recompute every cell in reverse order through independent calls
-    for row in reversed(table.rows):
+    for row in reversed(rows):
         p = EnvironmentParams(lam=0.1, temperature=row.temperature)
-        state = evolve_closed(s0, p, row.t)
+        state = evolution(s0, p)(row.t)
         assert log_negativity(state) == row.e_n
         assert gaussian_discord(state) == row.discord
 
 
 def test_sweep_validates_grids():
     with pytest.raises(InvalidParams):
-        sweep(FIG_STATE, fig_env(0.0), [], [0.0])
+        sweep(FIG_S0, fig_env(0.0), [], [0.0])
     with pytest.raises(InvalidParams):
-        sweep(FIG_STATE, fig_env(0.0), [0.0], [2.0, 1.0])
+        sweep(FIG_S0, fig_env(0.0), [0.0], [2.0, 1.0])
 
 
 def test_sweep_rejects_non_finite_grid_values():
     with pytest.raises(InvalidParams, match="t_grid"):
-        sweep(FIG_STATE, fig_env(0.0), [0.0, float("inf")], [1.0])
+        sweep(FIG_S0, fig_env(0.0), [0.0, float("inf")], [1.0])
     with pytest.raises(InvalidParams, match="temperature_grid"):
-        sweep(FIG_STATE, fig_env(0.0), [0.0], [1.0, float("nan")])
+        sweep(FIG_S0, fig_env(0.0), [0.0], [1.0, float("nan")])
 
 
 def _count_calls(monkeypatch, module, name):
@@ -244,7 +274,7 @@ def test_loop_invariants_are_computed_once(monkeypatch):
     # spectrum feeds the discord's bona fide check and nothing else
     gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
     spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
-    sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
+    sweep(FIG_S0, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
     assert len(gibbs) <= 3
     assert len(spectra) == 5 * 3
 
@@ -254,40 +284,15 @@ def test_loop_invariants_are_computed_once(monkeypatch):
 
 
 def test_sweep_respects_measured_mode():
-    asymmetric = SqueezedThermalParams(n1=2.0, n2=0.0, r=1.0)
+    asymmetric = build_squeezed_thermal(SqueezedThermalParams(n1=2.0, n2=0.0, r=1.0))
     t1 = sweep(asymmetric, fig_env(0.0), [0.0], [0.5], MeasuredMode.MODE1)
     t2 = sweep(asymmetric, fig_env(0.0), [0.0], [0.5], MeasuredMode.MODE2)
-    assert t1.rows[0].discord != t2.rows[0].discord
+    assert t1[0].discord != t2[0].discord
 
 
-# ---------------------------------------------------------------- threshold tags
-
-
-def test_classify_threshold_tags():
-    product = SqueezedThermalParams(1.0, 1.0, 0.0)
-    table = sweep(product, fig_env(0.0), [0.0], [0.0])
-    assert classify_threshold(table) == [ThresholdTag.BETWEEN_ZERO_AND_ONE]
-
-    entangled = sweep(FIG_STATE, fig_env(0.0), [0.0], [1.0])
-    assert classify_threshold(entangled) == [ThresholdTag.ABOVE_ONE]
+# ---------------------------------------------------------------- late-time discord
 
 
 def test_classify_threshold_late_time_rows_decay():
-    table = sweep(FIG_STATE, fig_env(0.0), [250.0], [0.5, 1.0, 2.0])
-    tags = classify_threshold(table)
-    assert all(tag is ThresholdTag.BETWEEN_ZERO_AND_ONE for tag in tags)
-    assert all(row.discord <= 1e-6 for row in table.rows)
-
-
-def test_classify_threshold_rejects_inconsistent_rows():
-    base = sweep(FIG_STATE, fig_env(0.0), [0.0], [1.0])
-    doctored = SweepTable(
-        rows=(SweepRow(t=0.0, temperature=1.0, e_n=0.0, discord=1.5),),
-        state=base.state,
-        env_base=base.env_base,
-        t_grid=base.t_grid,
-        temperature_grid=base.temperature_grid,
-        measured_mode=base.measured_mode,
-    )
-    with pytest.raises(ThresholdInconsistency):
-        classify_threshold(doctored)
+    rows = sweep(FIG_S0, fig_env(0.0), [250.0], [0.5, 1.0, 2.0])
+    assert all(row.discord <= 1e-6 for row in rows)

@@ -99,14 +99,23 @@ def test_parameter_rejected_by_library_is_usage_error(key, value, via, tmp_path,
     [
         (["evolve", "--temperature", "1e308"], 2),
         (["esd", "--temperature", "1e308"], 2),
-        (["sweep", "--temp-max", "1e308"], 1),
+        (["sweep", "--temp-max", "1e308"], 2),
+        (["sweep", "--temp-max", "1e308", "--points", "1"], 2),
         (["evolve", "--temperature", "1e200"], 1),
         (["evolve", "--temperature", "1e60"], 1),
     ],
-    ids=["evolve-1e308", "esd-1e308", "sweep-1e308", "evolve-1e200", "evolve-1e60"],
+    ids=[
+        "evolve-1e308",
+        "esd-1e308",
+        "sweep-1e308",
+        "sweep-1e308-one-point",
+        "evolve-1e200",
+        "evolve-1e60",
+    ],
 )
 def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys):
-    # tanh(w/2T) is 0 at T = 1e308 (exit 2); below that an invariant overflows (exit 1)
+    # tanh(w/2T) is 0 at T = 1e308, checked at the hottest sweep cell too (exit 2);
+    # below that an invariant overflows (exit 1)
     assert main(argv + ["--output", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " if code == 2 else "numerical failure: ")

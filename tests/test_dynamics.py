@@ -2,21 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import det4, drift_matrix, evolve_rk4, expm_generic, thermal_diffusion
+from oracles import det4, drift_matrix, evolve_rk4, expm_generic, is_physical, thermal_diffusion
 
 from gaussbath.dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
     evolution,
-    evolve_closed,
     propagator,
 )
 from gaussbath.errors import InvalidParams
 from gaussbath.states import (
-    CovarianceMatrix,
     SqueezedThermalParams,
     build_squeezed_thermal,
-    is_physical,
     symplectic_spectrum,
 )
 
@@ -217,14 +214,14 @@ def test_asymptotic_covariance_matches_high_precision_gibbs():
 def test_evolve_closed_identity_at_zero():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = EnvironmentParams(lam=0.1, temperature=1.0)
-    assert np.array_equal(evolve_closed(s0, p, 0.0).sigma, s0.sigma)
+    assert np.array_equal(evolution(s0, p)(0.0).sigma, s0.sigma)
 
 
 def test_evolve_closed_fixed_point():
     p = EnvironmentParams(lam=0.1, temperature=1.0)
     s_inf = asymptotic_covariance(p)
     for t in (0.5, 3.0, 12.0):
-        out = evolve_closed(s_inf, p, t)
+        out = evolution(s_inf, p)(t)
         assert np.max(np.abs(out.sigma - s_inf.sigma)) <= 1e-12
 
 
@@ -232,7 +229,7 @@ def test_evolve_closed_converges():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = EnvironmentParams(lam=0.1, temperature=1.0)
     s_inf = asymptotic_covariance(p).sigma
-    out = evolve_closed(s0, p, 10.0 / p.lam)
+    out = evolution(s0, p)(10.0 / p.lam)
     assert np.max(np.abs(out.sigma - s_inf)) <= 1e-6
 
 
@@ -243,7 +240,7 @@ def test_evolve_closed_convergence_is_monotone_on_periods():
     period = 2 * math.pi / p.omega1
     distances = []
     for k in range(0, 40):
-        out = evolve_closed(s0, p, k * period)
+        out = evolution(s0, p)(k * period)
         distances.append(np.max(np.abs(out.sigma - s_inf)))
     assert all(b <= a for a, b in zip(distances, distances[1:]))
     assert distances[-1] <= 1e-8  # t = 39 periods ~ 245 ~ 25 / lam
@@ -252,8 +249,8 @@ def test_evolve_closed_convergence_is_monotone_on_periods():
 def test_evolve_closed_semigroup():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = EnvironmentParams(lam=0.1, temperature=0.7)
-    two_step = evolve_closed(evolve_closed(s0, p, 1.3), p, 2.4)
-    one_step = evolve_closed(s0, p, 3.7)
+    two_step = evolution(evolution(s0, p)(1.3), p)(2.4)
+    one_step = evolution(s0, p)(3.7)
     assert np.max(np.abs(two_step.sigma - one_step.sigma)) <= 1e-9
 
 
@@ -262,7 +259,7 @@ def test_evolve_closed_preserves_physicality():
     for temperature in (0.0, 1.0):
         p = EnvironmentParams(lam=0.1, temperature=temperature)
         for t in np.linspace(0.0, 20.0, 41):
-            out = evolve_closed(s0, p, float(t))
+            out = evolution(s0, p)(float(t))
             assert is_physical(out)
             assert 2 * symplectic_spectrum(out).nu_minus >= 1 - 1e-9
 
@@ -270,7 +267,7 @@ def test_evolve_closed_preserves_physicality():
 def test_evolve_closed_rejects_negative_time():
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams):
-        evolve_closed(s0, EnvironmentParams(lam=0.1), -1.0)
+        evolution(s0, EnvironmentParams(lam=0.1))(-1.0)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -292,7 +289,7 @@ def test_rk4_identity_at_zero():
 def test_rk4_agrees_with_closed_form():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = EnvironmentParams(lam=0.1, temperature=1.0)
-    closed = evolve_closed(s0, p, 2.0)
+    closed = evolution(s0, p)(2.0)
     integrated = evolve_rk4(s0, p, 2.0, 1e-3)
     assert np.max(np.abs(closed.sigma - integrated.sigma)) <= 1e-6
 
@@ -300,7 +297,7 @@ def test_rk4_agrees_with_closed_form():
 def test_rk4_partial_final_step():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = EnvironmentParams(lam=0.1, temperature=1.0)
-    closed = evolve_closed(s0, p, 0.7605)  # not a multiple of dt
+    closed = evolution(s0, p)(0.7605)  # not a multiple of dt
     integrated = evolve_rk4(s0, p, 0.7605, 1e-3)
     assert np.max(np.abs(closed.sigma - integrated.sigma)) <= 1e-6
 
@@ -312,7 +309,7 @@ def test_evolve_closed_undamped_is_free_rotation():
         p = EnvironmentParams(lam=0.0, omega1=1.0, omega2=1.3, temperature=temperature)
         for t in (0.7, 3.0, 11.0):
             m = propagator(p, t)
-            closed = evolve_closed(s0, p, t)
+            closed = evolution(s0, p)(t)
             assert np.max(np.abs(closed.sigma - m @ s0.sigma @ m.T)) <= 1e-12
             integrated = evolve_rk4(s0, p, t, 1e-3)
             assert np.max(np.abs(closed.sigma - integrated.sigma)) <= 1e-6

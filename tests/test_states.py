@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import det4, mp_measures
+from oracles import det4, is_physical, mp_measures
 
 from gaussbath.dynamics import EnvironmentParams, evolution
 from gaussbath.errors import DomainError, InvalidParams, NonPhysical
@@ -11,12 +11,10 @@ from gaussbath.states import (
     CovarianceMatrix,
     MeasuredMode,
     SqueezedThermalParams,
-    blocks,
     build_squeezed_thermal,
     discord_invariants,
     f_entropy,
     gaussian_discord,
-    is_physical,
     log_negativity,
     ppt_g,
     separability_threshold_r,
@@ -85,27 +83,11 @@ def test_squeezed_thermal_params_reject_non_finite():
 # ---------------------------------------------------------------- blocks
 
 
-def test_blocks_of_vacuum():
-    a, b, c = blocks(VACUUM)
-    assert np.array_equal(a, 0.5 * np.eye(2))
-    assert np.array_equal(b, 0.5 * np.eye(2))
-    assert np.array_equal(c, np.zeros((2, 2)))
-
-
 def test_blocks_of_squeezed_thermal_cross_pattern():
     s = build_squeezed_thermal(SqueezedThermalParams(1.0, 1.0, 2.0))
-    _, _, c = blocks(s)
+    c = s.sigma[:2, 2:]
     assert c[0, 1] == 0.0 and c[1, 0] == 0.0
     assert c[0, 0] == -c[1, 1] != 0.0
-
-
-def test_blocks_roundtrip_reassembly():
-    rng = np.random.default_rng(5)
-    raw = rng.normal(size=(4, 4))
-    s = CovarianceMatrix(0.5 * (raw + raw.T))
-    a, b, c = blocks(s)
-    rebuilt = np.block([[a, c], [c.T, b]])
-    assert np.array_equal(rebuilt, s.sigma)
 
 
 # ---------------------------------------------------------------- builder
