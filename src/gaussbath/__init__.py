@@ -5,13 +5,7 @@ with logarithmic negativity, entanglement sudden death and Gaussian quantum
 discord tracked along the evolution.
 """
 
-from .analysis import (
-    SweepRow,
-    TrajectoryPoint,
-    sudden_death_time,
-    sweep,
-    trajectory,
-)
+from .analysis import SweepRow, sudden_death_time, sweep
 from .dynamics import (
     EnvironmentParams,
     asymptotic_covariance,
@@ -58,7 +52,6 @@ __all__ = [
     "SqueezedThermalParams",
     "SweepRow",
     "SymplecticSpectrum",
-    "TrajectoryPoint",
     "asymptotic_covariance",
     "build_squeezed_thermal",
     "discord_invariants",
@@ -72,5 +65,4 @@ __all__ = [
     "sudden_death_time",
     "sweep",
     "symplectic_spectrum",
-    "trajectory",
 ]

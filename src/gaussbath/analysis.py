@@ -1,12 +1,14 @@
-"""Trajectory-level studies of the correlation measures.
+"""Grid studies of the correlation measures along the dissipative evolution.
 
-Time series of logarithmic negativity and Gaussian discord along the
-dissipative evolution, detection of entanglement sudden death via a sign
-change of 4 g(sigma(t)) - 1, and rectangular (time, temperature) sweeps.
-All three take the initial CovarianceMatrix and the bath parameters.
-Every grid cell is an independent pure computation, so tables come out
-identical regardless of evaluation order.  Each loop builds one
-``evolution`` per bath temperature, so the Gibbs state is not rebuilt per cell.
+``sweep`` evaluates logarithmic negativity, Gaussian discord and nu_minus
+on a rectangular (time, temperature) grid; a time series at one bath
+temperature is the sweep over that single temperature.
+``sudden_death_time`` detects entanglement sudden death via a sign change
+of 4 g(sigma(t)) - 1.  Both take the initial CovarianceMatrix and the bath
+parameters.  Every grid cell is an independent pure computation, so tables
+come out identical regardless of evaluation order.  Each loop builds one
+``evolution`` per bath temperature, so the Gibbs state is not rebuilt per
+cell, and a failing cell is named as ``at t=..., T=...``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ from .states import (
 # resolve every sign change by a wide margin.
 _SCAN_POINTS = 2000
 
+# Width to which bisection narrows the sudden-death bracket.
+_ESD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    """Measures of the evolved state at one time.
+class SweepRow:
+    """Measures of the evolved state at one (time, temperature) cell.
 
     e_n is the logarithmic negativity in bits, discord the Gaussian discord
     in nats, and nu_minus the smallest symplectic eigenvalue (physicality
@@ -42,19 +47,10 @@ class TrajectoryPoint:
     """
 
     t: float
-    e_n: float
-    discord: float
-    nu_minus: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (time, temperature) cell of a sweep."""
-
-    t: float
     temperature: float
     e_n: float
     discord: float
+    nu_minus: float
 
 
 def _check_grid(grid: Sequence[float], name: str) -> tuple[float, ...]:
@@ -68,43 +64,18 @@ def _check_grid(grid: Sequence[float], name: str) -> tuple[float, ...]:
     return values
 
 
-def trajectory(
-    s0: CovarianceMatrix,
-    p: EnvironmentParams,
-    t_grid: Sequence[float],
-    measured_mode: MeasuredMode = MeasuredMode.MODE2,
-) -> list[TrajectoryPoint]:
-    """Evaluate the correlation measures along an ascending time grid.
-
-    Each point is computed independently from the closed-form propagation
-    of s0, so the result does not depend on evaluation order.
-    """
-    times = _check_grid(t_grid, "t_grid")
-    state_at = evolution(s0, p)
-    points = []
-    for t in times:
-        try:
-            state = state_at(t)
-            e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
-            nu_minus = symplectic_spectrum(state).nu_minus
-        except GaussBathError as exc:
-            raise type(exc)(f"at t={t:g}, T={p.temperature:g}: {exc}") from exc
-        points.append(TrajectoryPoint(t, e_n, discord, nu_minus))
-    return points
+def _at_cell(t: float, temperature: float, exc: GaussBathError) -> GaussBathError:
+    """exc, of the same type, with the failing cell named in front of its message."""
+    return type(exc)(f"at t={t:g}, T={temperature:g}: {exc}")
 
 
-def sudden_death_time(
-    s0: CovarianceMatrix,
-    p: EnvironmentParams,
-    t_max: float,
-    tol: float = 1e-6,
-) -> float | None:
+def sudden_death_time(s0: CovarianceMatrix, p: EnvironmentParams, t_max: float) -> float | None:
     """Earliest time in (0, t_max] at which the state becomes separable.
 
     Works on the sign of h(t) = 4 g(sigma(t)) - 1, which crosses zero where
     the logarithmic negativity hits zero: a coarse scan with step
     t_max/2000 brackets the first sign change and bisection narrows it to
-    width <= tol.  Returns None when the state stays entangled on the whole
+    width <= 1e-6.  Returns None when the state stays entangled on the whole
     range.
 
     Raises
@@ -112,8 +83,6 @@ def sudden_death_time(
     InvalidInput
         If the initial state is already separable.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidParams(f"tolerance must be positive and finite, got {tol}")
     if not 0 < t_max < math.inf:
         raise InvalidParams(f"t_max must be positive and finite, got {t_max}")
     if log_negativity(s0) <= 0:
@@ -124,7 +93,7 @@ def sudden_death_time(
         try:
             return 4.0 * ppt_g(state_at(t)) - 1.0
         except GaussBathError as exc:
-            raise type(exc)(f"at t={t:g}, T={p.temperature:g}: {exc}") from exc
+            raise _at_cell(t, p.temperature, exc) from exc
 
     step = t_max / _SCAN_POINTS
     lo = 0.0  # h(0) < 0 since the initial state is entangled
@@ -136,7 +105,7 @@ def sudden_death_time(
     else:
         return None
 
-    while hi - lo > tol:
+    while hi - lo > _ESD_TOL:
         mid = 0.5 * (lo + hi)
         if h(mid) >= 0.0:
             hi = mid
@@ -152,12 +121,15 @@ def sweep(
     temperature_grid: Sequence[float],
     measured_mode: MeasuredMode = MeasuredMode.MODE2,
 ) -> list[SweepRow]:
-    """Rectangular (t, T) sweep of negativity and discord.
+    """Rectangular (t, T) sweep of negativity, discord and nu_minus.
 
     env_base carries the dissipation, mass and frequencies; its temperature
-    is replaced by each grid value.  Rows come in lexicographic
-    (temperature, t) order; each cell is an independent computation from
-    s0, so the table is deterministic and complete.
+    is replaced by each grid value, so the time series at env_base's own
+    temperature is sweep(s0, env_base, t_grid, [env_base.temperature]).
+    Rows come in lexicographic (temperature, t) order; each cell is an
+    independent computation from s0, so the table is deterministic and
+    complete.  A failing cell raises its error again, of the same type,
+    as "at t=..., T=...: <message>".
     """
     times = _check_grid(t_grid, "t_grid")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
@@ -168,7 +140,8 @@ def sweep(
             try:
                 state = state_at(t)
                 e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
+                nu_minus = symplectic_spectrum(state).nu_minus
             except GaussBathError as exc:
-                raise type(exc)(f"at cell (t={t:g}, T={temperature:g}): {exc}") from exc
-            rows.append(SweepRow(t, temperature, e_n, discord))
+                raise _at_cell(t, temperature, exc) from exc
+            rows.append(SweepRow(t, temperature, e_n, discord, nu_minus))
     return rows

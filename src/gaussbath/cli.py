@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .analysis import sudden_death_time, sweep, trajectory
+from .analysis import sudden_death_time, sweep
 from .dynamics import EnvironmentParams
 from .errors import GaussBathError, InvalidParams
 from .states import MeasuredMode, SqueezedThermalParams, build_squeezed_thermal
@@ -68,8 +68,6 @@ _FLAGS = (
     _Flag("output", str, None, "output file path (default <command>.<format>)"),
     _Flag("format", str, "csv", "output format", choices=("csv", "json")),
 )
-
-_ESD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
         if flag is None:
             raise UsageError(f"--config: unknown key {key!r} in {path}")
         try:
-            value = flag.ftype(value)
-        except (TypeError, ValueError) as exc:
+            value = flag.ftype(str(value))  # read as the same text on the command line
+        except ValueError as exc:
             raise UsageError(f"--config: bad value for {key!r} in {path}: {exc}") from exc
         if flag.choices is not None and value not in flag.choices:
             raise UsageError(
@@ -173,11 +171,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         f"must be positive and finite, got {merged['t-max']}",
     )
     _require(merged["points"] >= 1, "points", f"must be at least 1, got {merged['points']}")
-    _require(
-        0 <= merged["temp-max"] < math.inf,
-        "temp-max",
-        f"must be non-negative and finite, got {merged['temp-max']}",
-    )
     _require(
         merged["temp-points"] >= 1,
         "temp-points",
@@ -259,26 +252,27 @@ def _write_table(
     _write_lines(out_path, [json.dumps(payload, indent=2)])
 
 
-def _run_evolve(config: RunConfig, out_path: Path) -> None:
+def _run_table(config: RunConfig, out_path: Path) -> None:
+    """evolve and sweep: a sweep, over the single temperature --temperature for evolve.
+
+    columns maps each printed header to its SweepRow field.
+    """
+    if config.command == "sweep":
+        temperature_grid = np.linspace(0.0, config.temp_max, config.temp_points)
+        columns = {"t": "t", "T": "temperature", "E_N": "e_n", "discord": "discord"}
+    else:
+        temperature_grid = [config.env.temperature]
+        columns = {"t": "t", "E_N": "e_n", "discord": "discord", "nu_minus": "nu_minus"}
     s0 = build_squeezed_thermal(config.state)
     t_grid = np.linspace(0.0, config.t_max, config.points)
-    points = trajectory(s0, config.env, t_grid, config.measured_mode)
-    rows = ((pt.t, pt.e_n, pt.discord, pt.nu_minus) for pt in points)
-    _write_table(config, out_path, ("t", "E_N", "discord", "nu_minus"), rows)
-
-
-def _run_sweep(config: RunConfig, out_path: Path) -> None:
-    s0 = build_squeezed_thermal(config.state)
-    t_grid = np.linspace(0.0, config.t_max, config.points)
-    temperature_grid = np.linspace(0.0, config.temp_max, config.temp_points)
     cells = sweep(s0, config.env, t_grid, temperature_grid, config.measured_mode)
-    rows = ((row.t, row.temperature, row.e_n, row.discord) for row in cells)
-    _write_table(config, out_path, ("t", "T", "E_N", "discord"), rows)
+    rows = (tuple(getattr(cell, field) for field in columns.values()) for cell in cells)
+    _write_table(config, out_path, tuple(columns), rows)
 
 
 def _run_esd(config: RunConfig) -> None:
     s0 = build_squeezed_thermal(config.state)
-    t_star = sudden_death_time(s0, config.env, config.t_max, tol=_ESD_TOL)
+    t_star = sudden_death_time(s0, config.env, config.t_max)
     line = "t_esd=" + (_fmt(t_star) if t_star is not None else "none")
     print(line)
     if config.output is not None:
@@ -295,10 +289,7 @@ def run(config: RunConfig) -> int:
             _run_esd(config)
         else:
             out_path = Path(config.output or f"{config.command}.{config.format}")
-            if config.command == "evolve":
-                _run_evolve(config, out_path)
-            else:
-                _run_sweep(config, out_path)
+            _run_table(config, out_path)
             print(f"wrote {out_path}")
     except GaussBathError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -78,7 +78,8 @@ class CovarianceMatrix:
     Construction symmetrizes the input (0.5 * (s + s^T)) and rejects
     non-finite entries, so every instance is exactly symmetric; the stored
     array is read-only.  The exact integer invariants that every measure
-    reads are computed on first use and kept on the instance.
+    reads, and the symplectic spectrum, are computed on first use and kept
+    on the instance.
     """
 
     sigma: Mat4
@@ -95,15 +96,22 @@ class CovarianceMatrix:
 
     @cached_property
     def _invariants(self) -> _ExactInvariants:
+        # P_jk and Q_jk: the 2x2 minors of the rows (0, 1) and (2, 3) in the columns (j, k)
         m, den = _scaled_ints(self.sigma)
-        return _ExactInvariants(
-            ints=m,
-            den=den,
-            det_a=_det2_int(m, 0, 1, 0, 1),
-            det_b=_det2_int(m, 2, 3, 2, 3),
-            det_c=_det2_int(m, 0, 1, 2, 3),
-            det_sigma=_det4_int(m),
-        )
+        p01, p02, p03, p12, p13, p23 = _minors(m[0], m[1])
+        q01, q02, q03, q12, q13, q23 = _minors(m[2], m[3])
+        # Laplace expansion along the rows (0, 1); the leading 3x3 minor along its row 2
+        det_sigma = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
+        minor3 = m[2][0] * p12 - m[2][1] * p02 + m[2][2] * p01
+        positive_definite = m[0][0] > 0 and p01 > 0 and minor3 > 0 and det_sigma > 0
+        return _ExactInvariants(den, p01, q23, p23, det_sigma, positive_definite)
+
+    @cached_property
+    def _spectrum(self) -> SymplecticSpectrum:
+        inv = self._invariants
+        pair = _squared_spectrum(inv.det_a, inv.det_b, inv.det_c, inv.det_sigma, inv.den)
+        nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
+        return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
 
 
 @dataclass(frozen=True)
@@ -167,28 +175,15 @@ def _scaled_ints(sigma: Mat4) -> tuple[list[list[int]], int]:
     return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], den
 
 
-def _det2_int(m: list[list[int]], r0: int, r1: int, c0: int, c1: int) -> int:
-    return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
-
-
-def _det3_int(
-    m: list[list[int]], rows: tuple[int, int, int], cols: tuple[int, int, int]
-) -> int:
-    r0, r1, r2 = rows
-    c0, c1, c2 = cols
+def _minors(u: list[int], v: list[int]) -> tuple[int, int, int, int, int, int]:
+    """2x2 minors of the rows u, v in the columns 01, 02, 03, 12, 13, 23."""
     return (
-        m[r0][c0] * _det2_int(m, r1, r2, c1, c2)
-        - m[r0][c1] * _det2_int(m, r1, r2, c0, c2)
-        + m[r0][c2] * _det2_int(m, r1, r2, c0, c1)
-    )
-
-
-def _det4_int(m: list[list[int]]) -> int:
-    return (
-        m[0][0] * _det3_int(m, (1, 2, 3), (1, 2, 3))
-        - m[0][1] * _det3_int(m, (1, 2, 3), (0, 2, 3))
-        + m[0][2] * _det3_int(m, (1, 2, 3), (0, 1, 3))
-        - m[0][3] * _det3_int(m, (1, 2, 3), (0, 1, 2))
+        u[0] * v[1] - u[1] * v[0],
+        u[0] * v[2] - u[2] * v[0],
+        u[0] * v[3] - u[3] * v[0],
+        u[1] * v[2] - u[2] * v[1],
+        u[1] * v[3] - u[3] * v[1],
+        u[2] * v[3] - u[3] * v[2],
     )
 
 
@@ -202,20 +197,21 @@ def _to_float(num: int, den: int) -> float:
 
 @dataclass(frozen=True)
 class _ExactInvariants:
-    """Integer block determinants of sigma = ints / den.
+    """Integer block determinants det A, det B, det C, det sigma of sigma = ints / den.
 
     An invariant of degree d in the entries is its integer over den**d
     (det A, det B and det C over den**2, det sigma over den**4), rounded
     once, correctly, by _to_float.  The partial transpose of sigma has the
-    same invariants with det C -> -det C.
+    same invariants with det C -> -det C.  positive_definite is Sylvester's
+    criterion on the exact leading principal minors.
     """
 
-    ints: list[list[int]]
     den: int
     det_a: int
     det_b: int
     det_c: int
     det_sigma: int
+    positive_definite: bool
 
 
 def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
@@ -297,11 +293,9 @@ def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     Each invariant reaches floating point through one correctly rounded
     division of exact integers; DomainError if one leaves the double range.
     ppt_g applies the same rule to the partial transpose, det C -> -det C.
+    The spectrum is computed once per state and kept on it.
     """
-    inv = state._invariants
-    pair = _squared_spectrum(inv.det_a, inv.det_b, inv.det_c, inv.det_sigma, inv.den)
-    nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
-    return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
+    return state._spectrum
 
 
 def ppt_g(state: CovarianceMatrix) -> float:
@@ -337,10 +331,7 @@ def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     leading principal minors, and 2 nu_minus >= 1 - 1e-9.  The minors are
     needed: -sigma of a bona fide sigma has the same spectrum.
     """
-    inv = state._invariants
-    m = inv.ints
-    minors = (m[0][0], inv.det_a, _det3_int(m, (0, 1, 2), (0, 1, 2)), inv.det_sigma)
-    if any(minor <= 0 for minor in minors):
+    if not state._invariants.positive_definite:
         raise NonPhysical("covariance matrix is not positive definite")
     spectrum = symplectic_spectrum(state)
     if 2.0 * spectrum.nu_minus < 1.0 - PHYSICALITY_TOL:

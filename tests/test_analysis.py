@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from oracles import evolve_rk4
 
-from gaussbath import analysis, dynamics, states
-from gaussbath.analysis import sudden_death_time, sweep, trajectory
+from gaussbath import analysis, cli, dynamics, states
+from gaussbath.analysis import sudden_death_time, sweep
 from gaussbath.dynamics import EnvironmentParams, evolution
 from gaussbath.errors import InvalidInput, InvalidParams, NonPhysical
 from gaussbath.states import (
@@ -31,12 +31,12 @@ def fig_env(temperature, lam=0.1):
     return EnvironmentParams(lam=lam, temperature=temperature)
 
 
-# ---------------------------------------------------------------- trajectory
+# ---------------------------------------------------------------- time series at one temperature
 
 
 def test_trajectory_single_point_matches_direct_measures():
     s0 = build_squeezed_thermal(FIG_STATE)
-    points = trajectory(s0, fig_env(1.0), [0.0])
+    points = sweep(s0, fig_env(1.0), [0.0], [1.0])
     assert len(points) == 1
     pt = points[0]
     assert pt.t == 0.0
@@ -47,22 +47,14 @@ def test_trajectory_single_point_matches_direct_measures():
 
 def test_trajectory_zero_temperature_stays_entangled():
     s0 = build_squeezed_thermal(FIG_STATE)
-    points = trajectory(s0, fig_env(0.0), np.linspace(0.0, 20.0, 50))
+    points = sweep(s0, fig_env(0.0), np.linspace(0.0, 20.0, 50), [0.0])
     assert all(pt.e_n > 0.0 for pt in points)
 
 
 def test_trajectory_warm_bath_reaches_separability():
     s0 = build_squeezed_thermal(FIG_STATE)
-    points = trajectory(s0, fig_env(1.0), np.linspace(0.0, 20.0, 200))
+    points = sweep(s0, fig_env(1.0), np.linspace(0.0, 20.0, 200), [1.0])
     assert any(pt.e_n == 0.0 for pt in points)
-
-
-def test_trajectory_validates_grid():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    with pytest.raises(InvalidParams):
-        trajectory(s0, fig_env(1.0), [])
-    with pytest.raises(InvalidParams):
-        trajectory(s0, fig_env(1.0), [1.0, 0.5])
 
 
 # ---------------------------------------------------------------- sudden death
@@ -75,7 +67,7 @@ def test_sudden_death_zero_temperature_never_dies():
 
 def test_sudden_death_warm_bath_regression():
     s0 = build_squeezed_thermal(FIG_STATE)
-    t_star = sudden_death_time(s0, fig_env(1.0), 20.0, tol=1e-6)
+    t_star = sudden_death_time(s0, fig_env(1.0), 20.0)
     assert t_star is not None
     assert 0.0 < t_star < 20.0
     assert t_star == pytest.approx(T_STAR_T1_LAM01, abs=5e-6)
@@ -169,19 +161,6 @@ def test_sudden_death_rejects_separable_initial_state():
         sudden_death_time(separable, fig_env(1.0), 20.0)
 
 
-def test_sudden_death_validates_tolerance():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    with pytest.raises(InvalidParams):
-        sudden_death_time(s0, fig_env(1.0), 20.0, tol=0.0)
-
-
-def test_sudden_death_rejects_nan_tolerance():
-    # a NaN tolerance used to skip the bisection and return the coarse bracket
-    s0 = build_squeezed_thermal(FIG_STATE)
-    with pytest.raises(InvalidParams, match="tolerance"):
-        sudden_death_time(s0, fig_env(1.0), 20.0, tol=float("nan"))
-
-
 def test_sudden_death_rejects_infinite_horizon():
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams, match="t_max"):
@@ -210,6 +189,20 @@ def test_sweep_single_cell_at_origin():
     assert row.temperature == 0.7
     assert row.e_n == log_negativity(s0)
     assert row.discord == gaussian_discord(s0)
+    assert row.nu_minus == symplectic_spectrum(s0).nu_minus
+
+
+def test_sweep_failure_names_time_and_temperature(monkeypatch, tmp_path, capsys):
+    def broken_discord(state, measured_mode):
+        raise NonPhysical("radicand negative")
+
+    monkeypatch.setattr(analysis, "gaussian_discord", broken_discord)
+    with pytest.raises(NonPhysical, match=r"^at t=0\.5, T=1\.5: radicand negative$"):
+        sweep(FIG_S0, fig_env(0.0), [0.5, 1.0], [1.5, 2.0])
+    # evolve is the same loop over its one temperature
+    argv = ["evolve", "--temperature", "0.25", "--output", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "numerical failure: at t=0, T=0.25: radicand negative\n"
 
 
 def test_sweep_row_order_is_lexicographic():
@@ -247,6 +240,8 @@ def test_sweep_validates_grids():
     with pytest.raises(InvalidParams):
         sweep(FIG_S0, fig_env(0.0), [], [0.0])
     with pytest.raises(InvalidParams):
+        sweep(FIG_S0, fig_env(0.0), [1.0, 0.5], [0.0])
+    with pytest.raises(InvalidParams):
         sweep(FIG_S0, fig_env(0.0), [0.0], [2.0, 1.0])
 
 
@@ -269,14 +264,25 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_loop_invariants_are_computed_once(monkeypatch):
-    # the Gibbs state depends on the temperature only, and each cell's
-    # spectrum feeds the discord's bona fide check and nothing else
+def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
+    # the Gibbs state depends on the temperature only; each cell's spectrum
+    # is computed once, for the discord's bona fide check, and its nu_minus
+    # column reads the same value: one _squared_spectrum call for it and one
+    # for the partial transpose
     gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
     spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
-    sweep(FIG_S0, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
+    squared = _count_calls(monkeypatch, states, "_squared_spectrum")
+    s0 = build_squeezed_thermal(FIG_STATE)
+    sweep(s0, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
     assert len(gibbs) <= 3
     assert len(spectra) == 5 * 3
+    # the t = 0 cells of every temperature are s0 itself, whose spectrum is
+    # kept on it after the first
+    assert len(squared) == 2 * 5 * 3 - 2
+
+    squared.clear()
+    assert cli.main(["evolve", "--points", "5", "--output", str(tmp_path / "out.csv")]) == 0
+    assert len(squared) == 2 * 5
 
     gibbs.clear()
     sudden_death_time(build_squeezed_thermal(FIG_STATE), fig_env(1.0), 20.0)

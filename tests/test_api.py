@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "SqueezedThermalParams",
     "SweepRow",
     "SymplecticSpectrum",
-    "TrajectoryPoint",
     "asymptotic_covariance",
     "build_squeezed_thermal",
     "discord_invariants",
@@ -28,7 +27,6 @@ PUBLIC_NAMES = [
     "sudden_death_time",
     "sweep",
     "symplectic_spectrum",
-    "trajectory",
 ]
 
 

@@ -46,10 +46,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 
 def test_config_file_value_choice_checked(tmp_path, capsys):
+    # a config value is read as the same text on the command line would be,
+    # so a fractional or boolean count is rejected, not truncated or cast
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"format": "xml"}))
-    assert main(["evolve", "--config", str(cfg)]) == 2
-    assert "format" in capsys.readouterr().err
+    for key, value in [("format", "xml"), ("points", 2.5), ("points", True), ("n1", True)]:
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert f"{key!r}" in capsys.readouterr().err
 
 
 def test_negative_temperature_is_usage_error(capsys):
@@ -71,6 +74,13 @@ def test_infinite_grid_bound_is_usage_error(argv, flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert "finite" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_temp_max_outside_bath_rule_is_usage_error(value, capsys):
+    # the hottest sweep cell is checked by the EnvironmentParams temperature rule
+    assert main(["sweep", "--temp-max", value]) == 2
+    assert capsys.readouterr().err.startswith("error: --temp-max: ")
 
 
 def test_non_finite_squeezing_is_usage_error(capsys):

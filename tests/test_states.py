@@ -300,6 +300,17 @@ def test_bona_fide_check_needs_leading_minors(diagonal):
         gaussian_discord(state)
 
 
+def test_bona_fide_check_needs_third_leading_minor():
+    # eigenvalues (-1, -1, 3, 3) and symplectic spectrum (1, 3); sigma_00,
+    # det A and det sigma are positive, only the leading 3x3 minor (-3) is not
+    sigma = np.array([[1, 0, 2, 0], [0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1]], dtype=float)
+    state = CovarianceMatrix(sigma)
+    assert 2.0 * symplectic_spectrum(state).nu_minus >= 1.0
+    assert not is_physical(state)
+    with pytest.raises(NonPhysical):
+        gaussian_discord(state)
+
+
 # ---------------------------------------------------------------- entropy function
 
 
