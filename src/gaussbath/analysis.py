@@ -5,10 +5,14 @@ on a rectangular (time, temperature) grid; a time series at one bath
 temperature is the sweep over that single temperature.
 ``sudden_death_time`` detects entanglement sudden death via a sign change
 of 4 g(sigma(t)) - 1.  Both take the initial CovarianceMatrix and the bath
-parameters.  Every grid cell is an independent pure computation, so tables
-come out identical regardless of evaluation order.  Each loop builds one
-``evolution`` per bath temperature, so the Gibbs state is not rebuilt per
-cell, and a failing cell is named as ``at t=..., T=...``.
+parameters, and a failing cell is named as ``at t=..., T=...``.
+
+The measures read only the block determinants det A, det B, det C and
+det sigma.  ``sweep`` builds them once per bath temperature as exact
+polynomials in x = e^{-2 lam t} and evaluates them exactly per cell, so a
+cell forms no sigma(t) at all.  ``sudden_death_time`` scans sigma(t) from
+one ``evolution`` per search.  Every grid cell is an independent pure
+computation, so tables come out identical regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .dynamics import EnvironmentParams, evolution
+from .dynamics import EnvironmentParams, _evolved_invariants, evolution
 from .errors import GaussBathError, InvalidInput, InvalidParams
 from .states import (
     CovarianceMatrix,
@@ -28,9 +32,10 @@ from .states import (
     symplectic_spectrum,
 )
 
-# Coarse-scan resolution of the sudden-death search: with omega = 1 the
-# entanglement witness oscillates at period pi, so t_max/2000 points
-# resolve every sign change by a wide margin.
+# Coarse-scan resolution of the sudden-death search.  The witness depends on
+# t only through x = e^{-2 lam t} and has no oscillating part, but it can be
+# non-monotone when m omega != 1, so the scan takes the first sign change on
+# a grid of t_max/2000 steps.
 _SCAN_POINTS = 2000
 
 # Width to which bisection narrows the sudden-death bracket.
@@ -135,10 +140,10 @@ def sweep(
     temperatures = _check_grid(temperature_grid, "temperature_grid")
     rows = []
     for temperature in temperatures:
-        state_at = evolution(s0, replace(env_base, temperature=temperature))
+        invariants_at = _evolved_invariants(s0, replace(env_base, temperature=temperature))
         for t in times:
             try:
-                state = state_at(t)
+                state = invariants_at(t)
                 e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
                 nu_minus = symplectic_spectrum(state).nu_minus
             except GaussBathError as exc:

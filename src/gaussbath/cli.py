@@ -129,6 +129,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
         flag = known.get(key)
         if flag is None:
             raise UsageError(f"--config: unknown key {key!r} in {path}")
+        if value is None:
+            raise UsageError(f"--config: {key!r} in {path} is null; give a value or leave it out")
         try:
             value = flag.ftype(str(value))  # read as the same text on the command line
         except ValueError as exc:

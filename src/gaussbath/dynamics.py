@@ -10,28 +10,36 @@ and a diagonal diffusion matrix D with coth(w / 2T) weights.  Because the
 bath is in thermal equilibrium, the stationary state is the Gibbs state of
 the two oscillators, diag(coth(w/2T)/(2 m w), m w coth(w/2T)/2) per mode.
 
-The closed-form solution
+The closed-form solution is
 
     sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf,
     M(t) = exp(Y t),
 
-is the only production path: M(t) has an exact per-block expression (a
-damped rotation) and sigma_inf is the Gibbs state written down directly.
-``evolution(s0, p)`` builds sigma_inf once for a loop over t.  The
-independent oracles (a fixed-step Runge-Kutta integrator and a generic
-matrix exponential) live with the tests.
+where M(t) has an exact per-block expression (a damped rotation) and
+sigma_inf is the Gibbs state written down directly.  ``evolution(s0, p)``
+builds sigma_inf once for a loop over t and returns sigma(t); the
+sudden-death search runs on it.
+
+The sweep needs only the invariants of sigma(t).  They are those of
+sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}, so
+``_evolved_invariants(s0, p)`` builds their exact integer polynomials in x
+once and evaluates them per t, with no M(t) and no 4x4 matrix.  The
+independent oracles (a fixed-step Runge-Kutta integrator, a generic matrix
+exponential and the closed form in exact rational arithmetic) live with the
+tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import zip_longest
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import InvalidParams
-from .states import CovarianceMatrix, Mat4
+from .states import CovarianceMatrix, Mat4, _ExactInvariants, _laplace, _scaled_ints
 
 
 @dataclass(frozen=True)
@@ -120,5 +128,82 @@ def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], C
             return s0
         m = propagator(p, t)
         return CovarianceMatrix(m @ shifted @ m.T + s_inf)
+
+    return at
+
+
+class _Poly:
+    """Polynomial in x with integer coefficients, lowest degree first.
+
+    It has just the ring operations that states._laplace uses.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: Iterable[int]) -> None:
+        self.c = tuple(c)
+
+    def __add__(self, other: _Poly) -> _Poly:
+        return _Poly(a + b for a, b in zip_longest(self.c, other.c, fillvalue=0))
+
+    def __sub__(self, other: _Poly) -> _Poly:
+        return _Poly(a - b for a, b in zip_longest(self.c, other.c, fillvalue=0))
+
+    def __mul__(self, other: _Poly) -> _Poly:
+        out = [0] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return _Poly(out)
+
+
+def _evolved_invariants(
+    s0: CovarianceMatrix, p: EnvironmentParams
+) -> Callable[[float], _ExactInvariants]:
+    """The exact invariants of sigma(t), as a function of the time t, without sigma(t).
+
+    Scale each mode by sqrt(m omega_k), a local symplectic change S: then
+    M_k(t) becomes e^{-lam t} R_k(t) with R_k a rotation, and the Gibbs
+    block becomes s_k I, which commutes with R_k.  So, with x = e^{-2 lam t},
+    sigma(t) = L [s_inf + x (s0 - s_inf)] L^T with L = S^-1 R S, and L is
+    local with unit determinant per mode, which changes none of det A,
+    det B, det C and det sigma.  These are polynomials in x of degree 2, 2,
+    2 and 4.  Their integer
+    coefficients over one power-of-two denominator are built once, here;
+    each t evaluates them exactly at the double x = xn / xd, so that the
+    invariants are integers over den * xd, and no trigonometry, no M(t) and
+    no 4x4 matrix is involved.
+
+    positive_definite is s0's verdict: s_inf + x (s0 - s_inf) is a convex
+    combination of s0 and the positive definite Gibbs state.  t must be
+    finite and non-negative; where x is 1 (t = 0, lam = 0, or t so small
+    that x rounds to 1), the invariants are s0's own.
+    """
+    scaled = [_scaled_ints(a) for a in (asymptotic_covariance(p).sigma, s0.sigma)]
+    den = max(d for _, d in scaled)  # powers of two: each divides the largest
+    base, start = ([[v * (den // d) for v in row] for row in ints] for ints, d in scaled)
+    m = [[_Poly((b, s - b)) for b, s in zip(rb, rs)] for rb, rs in zip(base, start)]
+    (det_a, *_, det_c), (*_, det_b), det_sigma = _laplace(m)
+    # highest degree first, for Horner's rule
+    coefficients = [poly.c[::-1] for poly in (det_a, det_b, det_c, det_sigma)]
+    initial = s0._invariants
+    rate = -2.0 * p.lam
+
+    def at(t: float) -> _ExactInvariants:
+        if not 0 <= t < math.inf:
+            raise InvalidParams(f"time must be finite and non-negative, got {t}")
+        x = math.exp(rate * t)
+        if x == 1.0:
+            return initial
+        xn, xd = x.as_integer_ratio()
+        shift = xd.bit_length() - 1  # xd is a power of two
+        values = []
+        for c in coefficients:
+            # homogeneous Horner: xd**n P(xn / xd) for P of degree n
+            acc = 0
+            for k, ck in enumerate(c):
+                acc = acc * xn + (ck << (shift * k))
+            values.append(acc)
+        return _ExactInvariants(den * xd, *values, initial.positive_definite)
 
     return at

@@ -22,13 +22,18 @@ doubled symplectic eigenvalues 2*nu (equivalently, the symplectic spectrum
 of 2*sigma); this is the same rescaling that makes sqrt(alpha) >= 1 and
 gives D = 0 exactly on product states.
 
-Determinant invariants are evaluated in exact integer arithmetic over the
-(dyadic) float entries, and each reaches floating point through one
-correctly rounded division.  The physically interesting states here sit on
-or near the degenerate manifold Delta^2 = 4 det sigma (symmetric states,
-pure states, equal-frequency evolution), where plain double arithmetic
-loses half its digits through sqrt of a cancellation-noise discriminant;
-exact invariants keep the eigenvalues accurate to machine precision there.
+Every measure reads only the four block determinants det A, det B, det C
+and det sigma, held as exact integers over a power-of-two denominator in
+``_ExactInvariants``.  A CovarianceMatrix computes them from its (dyadic)
+float entries; the sweep evaluates them directly from their polynomials in
+the time variable (dynamics._evolved_invariants), and passes them to the
+measures in place of a matrix.  Each invariant reaches floating point
+through one correctly rounded division.  The physically interesting states
+here sit on or near the degenerate manifold Delta^2 = 4 det sigma
+(symmetric states, pure states, equal-frequency evolution), where plain
+double arithmetic loses half its digits through sqrt of a
+cancellation-noise discriminant; exact invariants keep the eigenvalues
+accurate to machine precision there.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,8 +84,7 @@ class CovarianceMatrix:
     Construction symmetrizes the input (0.5 * (s + s^T)) and rejects
     non-finite entries, so every instance is exactly symmetric; the stored
     array is read-only.  The exact integer invariants that every measure
-    reads, and the symplectic spectrum, are computed on first use and kept
-    on the instance.
+    reads are computed on first use and kept on the instance.
     """
 
     sigma: Mat4
@@ -96,22 +101,12 @@ class CovarianceMatrix:
 
     @cached_property
     def _invariants(self) -> _ExactInvariants:
-        # P_jk and Q_jk: the 2x2 minors of the rows (0, 1) and (2, 3) in the columns (j, k)
         m, den = _scaled_ints(self.sigma)
-        p01, p02, p03, p12, p13, p23 = _minors(m[0], m[1])
-        q01, q02, q03, q12, q13, q23 = _minors(m[2], m[3])
-        # Laplace expansion along the rows (0, 1); the leading 3x3 minor along its row 2
-        det_sigma = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
+        (p01, p02, _, p12, _, p23), (*_, q23), det_sigma = _laplace(m)
+        # Sylvester's criterion; the leading 3x3 minor by expansion along its row 2
         minor3 = m[2][0] * p12 - m[2][1] * p02 + m[2][2] * p01
         positive_definite = m[0][0] > 0 and p01 > 0 and minor3 > 0 and det_sigma > 0
         return _ExactInvariants(den, p01, q23, p23, det_sigma, positive_definite)
-
-    @cached_property
-    def _spectrum(self) -> SymplecticSpectrum:
-        inv = self._invariants
-        pair = _squared_spectrum(inv.det_a, inv.det_b, inv.det_c, inv.det_sigma, inv.den)
-        nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
-        return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ def _scaled_ints(sigma: Mat4) -> tuple[list[list[int]], int]:
     return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], den
 
 
-def _minors(u: list[int], v: list[int]) -> tuple[int, int, int, int, int, int]:
+def _minors(u: list, v: list) -> tuple:
     """2x2 minors of the rows u, v in the columns 01, 02, 03, 12, 13, 23."""
     return (
         u[0] * v[1] - u[1] * v[0],
@@ -185,6 +180,20 @@ def _minors(u: list[int], v: list[int]) -> tuple[int, int, int, int, int, int]:
         u[1] * v[3] - u[3] * v[1],
         u[2] * v[3] - u[3] * v[2],
     )
+
+
+def _laplace(m: list[list]) -> tuple[tuple, tuple, object]:
+    """(P, Q, det m): the 2x2 minors P of the rows (0, 1) and Q of the rows (2, 3),
+    in the column order of _minors, and det m by Laplace expansion along the
+    rows (0, 1).  det A = P_01, det B = Q_23 and det C = P_23.
+
+    Only +, - and * are used, so the entries may be ints or any exact ring
+    elements, such as the polynomials of dynamics._evolved_invariants.
+    """
+    p01, p02, p03, p12, p13, p23 = p = _minors(m[0], m[1])
+    q01, q02, q03, q12, q13, q23 = q = _minors(m[2], m[3])
+    det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
+    return p, q, det
 
 
 def _to_float(num: int, den: int) -> float:
@@ -204,6 +213,10 @@ class _ExactInvariants:
     once, correctly, by _to_float.  The partial transpose of sigma has the
     same invariants with det C -> -det C.  positive_definite is Sylvester's
     criterion on the exact leading principal minors.
+
+    These are all that the measures read: each takes a CovarianceMatrix or
+    its _ExactInvariants (``_invariants`` is the instance itself), and the
+    symplectic spectrum is computed on first use and kept here.
     """
 
     den: int
@@ -212,6 +225,20 @@ class _ExactInvariants:
     det_c: int
     det_sigma: int
     positive_definite: bool
+
+    @property
+    def _invariants(self) -> _ExactInvariants:
+        return self
+
+    @cached_property
+    def _spectrum(self) -> SymplecticSpectrum:
+        pair = _squared_spectrum(self.det_a, self.det_b, self.det_c, self.det_sigma, self.den)
+        nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
+        return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
+
+
+# What every measure takes: a covariance matrix, or the exact invariants of one.
+_State = Union[CovarianceMatrix, _ExactInvariants]
 
 
 def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
@@ -287,18 +314,18 @@ def _squared_spectrum(
     return max(2.0 * dets, 0.0) / (big_delta + root), 0.5 * (big_delta + root)
 
 
-def symplectic_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
+def symplectic_spectrum(state: _State) -> SymplecticSpectrum:
     """Symplectic eigenvalues of sigma: the square roots of _squared_spectrum.
 
     Each invariant reaches floating point through one correctly rounded
     division of exact integers; DomainError if one leaves the double range.
     ppt_g applies the same rule to the partial transpose, det C -> -det C.
-    The spectrum is computed once per state and kept on it.
+    The spectrum is computed once per state and kept on its invariants.
     """
-    return state._spectrum
+    return state._invariants._spectrum
 
 
-def ppt_g(state: CovarianceMatrix) -> float:
+def ppt_g(state: _State) -> float:
     """Squared smallest symplectic eigenvalue of the partial transpose.
 
     Transposing one mode maps det C -> -det C and leaves det A, det B and
@@ -313,7 +340,7 @@ def ppt_g(state: CovarianceMatrix) -> float:
     return g
 
 
-def log_negativity(state: CovarianceMatrix) -> float:
+def log_negativity(state: _State) -> float:
     """Logarithmic negativity E_N = max{0, -1/2 log2[4 g]} in bits.
 
     Strictly positive exactly for entangled states (4 g < 1).
@@ -322,7 +349,7 @@ def log_negativity(state: CovarianceMatrix) -> float:
     return max(0.0, -0.5 * math.log2(4.0 * g))
 
 
-def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
+def _bona_fide_spectrum(inv: _ExactInvariants) -> SymplecticSpectrum:
     """Symplectic spectrum of a bona fide state; raises NonPhysical otherwise.
 
     This is the one physicality check; gaussian_discord raises on it.
@@ -331,9 +358,9 @@ def _bona_fide_spectrum(state: CovarianceMatrix) -> SymplecticSpectrum:
     leading principal minors, and 2 nu_minus >= 1 - 1e-9.  The minors are
     needed: -sigma of a bona fide sigma has the same spectrum.
     """
-    if not state._invariants.positive_definite:
+    if not inv.positive_definite:
         raise NonPhysical("covariance matrix is not positive definite")
-    spectrum = symplectic_spectrum(state)
+    spectrum = symplectic_spectrum(inv)
     if 2.0 * spectrum.nu_minus < 1.0 - PHYSICALITY_TOL:
         raise NonPhysical(f"2 nu_minus = {2.0 * spectrum.nu_minus:.6g} is below 1 beyond tolerance")
     return spectrum
@@ -362,7 +389,7 @@ def _clamped_sqrt(value: float, what: str, scale: float = 1.0) -> float:
 
 
 def discord_invariants(
-    state: CovarianceMatrix, measured_mode: MeasuredMode = MeasuredMode.MODE2
+    state: _State, measured_mode: MeasuredMode = MeasuredMode.MODE2
 ) -> DiscordInvariants:
     """Compute (alpha, beta, gamma, delta, epsilon) and the branch taken.
 
@@ -431,7 +458,7 @@ def discord_invariants(
 
 
 def gaussian_discord(
-    state: CovarianceMatrix, measured_mode: MeasuredMode = MeasuredMode.MODE2
+    state: _State, measured_mode: MeasuredMode = MeasuredMode.MODE2
 ) -> float:
     """Gaussian quantum discord under Gaussian measurements on one mode, in nats.
 
@@ -450,7 +477,7 @@ def gaussian_discord(
     DomainError
         If an entropy argument falls below its domain beyond tolerance.
     """
-    spectrum = _bona_fide_spectrum(state)
+    spectrum = _bona_fide_spectrum(state._invariants)
     inv = discord_invariants(state, measured_mode)
     d = (
         f_entropy(_clamped_sqrt(inv.beta, "local invariant beta"))

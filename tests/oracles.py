@@ -10,9 +10,14 @@ None of this is used by the package itself:
   oracle for the analytic ``propagator``;
 * ``det2``/``det3``/``det4`` are plain float cofactor determinants, as an
   oracle for the exact integer invariants;
+* ``exact_invariants`` forms the closed-form sigma(t) in rational
+  arithmetic, as an oracle for the invariant polynomials in x;
 * ``mp_measures`` recomputes E_N, D and nu_minus from the exact float
   entries with rational determinants and 60-digit ``mpmath`` arithmetic,
   as an oracle for the whole static-measure path;
+* ``mp_param_measures`` computes them from the parameters of the evolved
+  squeezed thermal state at 50 digits, with no rounded entry at all, as an
+  accuracy reference for the sweep;
 * ``is_physical`` reads the package's bona fide check, the one
   ``gaussian_discord`` raises on, as a flag.
 """
@@ -22,10 +27,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from typing import Any
 
 import numpy as np
 
-from gaussbath.dynamics import EnvironmentParams
+from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, propagator
 from gaussbath.errors import InvalidParams, NonPhysical
 from gaussbath.states import CovarianceMatrix, Mat4, MeasuredMode, _bona_fide_spectrum
 
@@ -159,59 +165,134 @@ def _det_exact(m: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def _block_dets(q: list[list[Fraction]]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """det A, det B, det C and det sigma of a rational 4x4 matrix."""
+    return (
+        _det_exact([r[:2] for r in q[:2]]),
+        _det_exact([r[2:] for r in q[2:]]),
+        _det_exact([r[2:] for r in q[:2]]),
+        _det_exact(q),
+    )
+
+
+def exact_invariants(
+    s0: CovarianceMatrix, p: EnvironmentParams, t: float
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """det A, det B, det C and det sigma of the closed form sigma(t), with no rounding after M(t).
+
+    sigma(t) = M (s0 - G) M^T + G is formed from the double entries of
+    ``propagator``, s0 and ``asymptotic_covariance`` in exact rational
+    arithmetic.  In doubles, the products lose digits that the invariants
+    need: for a strongly squeezed state at lam = 0 and t ~ 25, det sigma
+    can come out ~1e9 times smaller than the product of the diagonal.
+    """
+    m, s, g = (
+        np.array([[Fraction(v) for v in row] for row in a.tolist()], dtype=object)
+        for a in (propagator(p, t), s0.sigma, asymptotic_covariance(p).sigma)
+    )
+    return _block_dets((m @ (s - g) @ m.T + g).tolist())
+
+
+def _mp_measures(
+    det_a: Any, det_b: Any, det_c: Any, det_s: Any, measured_mode: MeasuredMode
+) -> tuple[float, float, float]:
+    """(E_N, D, nu_minus) from the four block determinants, at mpmath's working precision.
+
+    The determinants are ``mpmath.mpf``.  From them: the symplectic pairs
+    of sigma and of its partial transpose, the Adesso-Datta conditional
+    invariant and the entropies.
+    """
+    import mpmath
+
+    def squared_pair(dc: Any) -> tuple[Any, Any]:
+        big_delta = det_a + det_b + 2 * dc
+        root = mpmath.sqrt(max(big_delta * big_delta - 4 * det_s, 0))
+        return (big_delta - root) / 2, (big_delta + root) / 2
+
+    def f(x: Any) -> Any:
+        if x <= 1:
+            return mpmath.mpf(0)
+        return (x + 1) / 2 * mpmath.log((x + 1) / 2) - (x - 1) / 2 * mpmath.log((x - 1) / 2)
+
+    nu2_minus, nu2_plus = squared_pair(det_c)
+    g, _ = squared_pair(-det_c)
+    e_n = max(mpmath.mpf(0), -mpmath.log(4 * g, 2) / 2)
+
+    if measured_mode is MeasuredMode.MODE1:
+        det_a, det_b = det_b, det_a
+    alpha, beta, gamma, delta = 4 * det_a, 4 * det_b, 4 * det_c, 16 * det_s
+    if (delta - alpha * beta) ** 2 <= (beta + 1) * gamma**2 * (alpha + delta):
+        cross = (beta - 1) * (delta - alpha)
+        root = mpmath.sqrt(gamma**2 + cross)
+        epsilon = (2 * gamma**2 + cross + 2 * abs(gamma) * root) / (beta - 1) ** 2
+    else:
+        root = mpmath.sqrt(
+            gamma**4 + (delta - alpha * beta) ** 2 - 2 * gamma**2 * (delta + alpha * beta)
+        )
+        epsilon = (alpha * beta - gamma**2 + delta - root) / (2 * beta)
+    discord = (
+        f(mpmath.sqrt(beta))
+        - f(2 * mpmath.sqrt(nu2_minus))
+        - f(2 * mpmath.sqrt(nu2_plus))
+        + f(mpmath.sqrt(epsilon))
+    )
+    return float(e_n), float(discord), float(mpmath.sqrt(nu2_minus))
+
+
 def mp_measures(
     state: CovarianceMatrix, measured_mode: MeasuredMode = MeasuredMode.MODE2
 ) -> tuple[float, float, float]:
     """(E_N in bits, Gaussian discord D in nats, nu_minus) at 60 digits.
 
     The block determinants of the exact float entries are rational numbers;
-    everything after them (the symplectic pairs of sigma and of its partial
-    transpose, the Adesso-Datta conditional invariant and the entropies)
-    runs in ``mpmath`` at 60 significant digits.
+    everything after them runs in ``mpmath`` at 60 significant digits.
     """
     import mpmath
 
-    q = [[Fraction(x) for x in row] for row in state.sigma.tolist()]
-    det_a, det_b = _det_exact([r[:2] for r in q[:2]]), _det_exact([r[2:] for r in q[2:]])
-    det_c, det_s = _det_exact([r[2:] for r in q[:2]]), _det_exact(q)
+    dets = _block_dets([[Fraction(x) for x in row] for row in state.sigma.tolist()])
     with mpmath.workdps(60):
-
-        def mp(x: Fraction) -> mpmath.mpf:
-            return mpmath.mpf(x.numerator) / x.denominator
-
-        def squared_pair(dc: Fraction) -> tuple[mpmath.mpf, mpmath.mpf]:
-            big_delta = det_a + det_b + 2 * dc
-            root = mpmath.sqrt(mp(big_delta * big_delta - 4 * det_s))
-            return (mp(big_delta) - root) / 2, (mp(big_delta) + root) / 2
-
-        def f(x: mpmath.mpf) -> mpmath.mpf:
-            if x <= 1:
-                return mpmath.mpf(0)
-            return (x + 1) / 2 * mpmath.log((x + 1) / 2) - (x - 1) / 2 * mpmath.log((x - 1) / 2)
-
-        nu2_minus, nu2_plus = squared_pair(det_c)
-        g, _ = squared_pair(-det_c)
-        e_n = max(mpmath.mpf(0), -mpmath.log(4 * g, 2) / 2)
-
-        if measured_mode is MeasuredMode.MODE1:
-            det_a, det_b = det_b, det_a
-        alpha, beta, gamma, delta = mp(4 * det_a), mp(4 * det_b), mp(4 * det_c), mp(16 * det_s)
-        if (delta - alpha * beta) ** 2 <= (beta + 1) * gamma**2 * (alpha + delta):
-            cross = (beta - 1) * (delta - alpha)
-            root = mpmath.sqrt(gamma**2 + cross)
-            epsilon = (2 * gamma**2 + cross + 2 * abs(gamma) * root) / (beta - 1) ** 2
-        else:
-            root = mpmath.sqrt(
-                gamma**4 + (delta - alpha * beta) ** 2 - 2 * gamma**2 * (delta + alpha * beta)
-            )
-            epsilon = (alpha * beta - gamma**2 + delta - root) / (2 * beta)
-        discord = (
-            f(mpmath.sqrt(beta))
-            - f(2 * mpmath.sqrt(nu2_minus))
-            - f(2 * mpmath.sqrt(nu2_plus))
-            + f(mpmath.sqrt(epsilon))
+        return _mp_measures(
+            *(mpmath.mpf(d.numerator) / d.denominator for d in dets), measured_mode
         )
-        return float(e_n), float(discord), float(mpmath.sqrt(nu2_minus))
+
+
+def mp_param_measures(
+    n1: float,
+    n2: float,
+    r: float,
+    m: float,
+    omega1: float,
+    omega2: float,
+    lam: float,
+    temperature: float,
+    t: float,
+    measured_mode: MeasuredMode = MeasuredMode.MODE2,
+) -> tuple[float, float, float]:
+    """(E_N, D, nu_minus) of the evolved squeezed thermal state at 50 digits, from the parameters.
+
+    No matrix entry is rounded to a double.  With x = e^{-2 lam t}, the
+    evolved invariants are those of x sigma0 + (1 - x) G, where G is the
+    Gibbs state diag(s_k / (m w_k), s_k m w_k), s_k = coth(w_k / 2T) / 2.
+    Both are block diagonal in the quadrature order (x1, x2 | p1, p2), with
+    the cross entries +x c and -x c, so det sigma = P_x P_p.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        n1, n2, r, m, lam, temperature, t = map(mpmath.mpf, (n1, n2, r, m, lam, temperature, t))
+        ch2, sh2 = mpmath.cosh(r) ** 2, mpmath.sinh(r) ** 2
+        a = n1 * ch2 + n2 * sh2 + mpmath.cosh(2 * r) / 2
+        b = n1 * sh2 + n2 * ch2 + mpmath.cosh(2 * r) / 2
+        x, y = mpmath.exp(-2 * lam * t), -mpmath.expm1(-2 * lam * t)
+        xc = x * (n1 + n2 + 1) * mpmath.sinh(2 * r) / 2
+        blocks = []  # (x-quadrature, momentum) diagonal entries of each mode
+        for diag, omega in ((a, omega1), (b, omega2)):
+            omega = mpmath.mpf(omega)
+            s = mpmath.coth(omega / (2 * temperature)) / 2 if temperature > 0 else mpmath.mpf(1) / 2
+            blocks.append((x * diag + y * s / (m * omega), x * diag + y * s * m * omega))
+        (a_x, a_p), (b_x, b_p) = blocks
+        p_x, p_p = a_x * b_x - xc * xc, a_p * b_p - xc * xc
+        return _mp_measures(a_x * a_p, b_x * b_p, -xc * xc, p_x * p_p, measured_mode)
 
 
 def is_physical(state: CovarianceMatrix) -> bool:
@@ -221,7 +302,7 @@ def is_physical(state: CovarianceMatrix) -> bool:
     the check gaussian_discord raises on, returned as a flag.
     """
     try:
-        _bona_fide_spectrum(state)
+        _bona_fide_spectrum(state._invariants)
     except NonPhysical:
         return False
     return True

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import evolve_rk4
+from oracles import evolve_rk4, mp_param_measures
 
 from gaussbath import analysis, cli, dynamics, states
 from gaussbath.analysis import sudden_death_time, sweep
@@ -228,12 +228,12 @@ def test_sweep_rows_independent_of_evaluation_order():
     temperature_grid = np.linspace(0.0, 2.0, 4)
     rows = sweep(FIG_S0, fig_env(0.0), t_grid, temperature_grid)
     s0 = build_squeezed_thermal(FIG_STATE)
-    # recompute every cell in reverse order through independent calls
+    # recompute every cell in reverse order through independent one-cell sweeps
     for row in reversed(rows):
         p = EnvironmentParams(lam=0.1, temperature=row.temperature)
-        state = evolution(s0, p)(row.t)
-        assert log_negativity(state) == row.e_n
-        assert gaussian_discord(state) == row.discord
+        (cell,) = sweep(s0, p, [row.t], [row.temperature])
+        assert cell.e_n == row.e_n
+        assert cell.discord == row.discord
 
 
 def test_sweep_validates_grids():
@@ -265,19 +265,21 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
-    # the Gibbs state depends on the temperature only; each cell's spectrum
-    # is computed once, for the discord's bona fide check, and its nu_minus
-    # column reads the same value: one _squared_spectrum call for it and one
-    # for the partial transpose
+    # the Gibbs state and the invariant polynomials depend on the temperature
+    # only; each cell's spectrum is computed once, for the discord's bona fide
+    # check, and its nu_minus column reads the same value: one
+    # _squared_spectrum call for it and one for the partial transpose
+    builds = _count_calls(monkeypatch, analysis, "_evolved_invariants")
     gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
     spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
     squared = _count_calls(monkeypatch, states, "_squared_spectrum")
     s0 = build_squeezed_thermal(FIG_STATE)
     sweep(s0, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
+    assert len(builds) == 3
     assert len(gibbs) <= 3
     assert len(spectra) == 5 * 3
-    # the t = 0 cells of every temperature are s0 itself, whose spectrum is
-    # kept on it after the first
+    # the t = 0 cells of every temperature read s0's invariants, whose
+    # spectrum is kept on them after the first
     assert len(squared) == 2 * 5 * 3 - 2
 
     squared.clear()
@@ -302,3 +304,35 @@ def test_sweep_respects_measured_mode():
 def test_classify_threshold_late_time_rows_decay():
     rows = sweep(FIG_S0, fig_env(0.0), [250.0], [0.5, 1.0, 2.0])
     assert all(row.discord <= 1e-6 for row in rows)
+
+
+# ---------------------------------------------------------------- accuracy from the parameters
+
+
+@pytest.mark.parametrize(
+    "state, env, mode",
+    [
+        (FIG_STATE, EnvironmentParams(), MeasuredMode.MODE2),
+        (FIG_STATE, EnvironmentParams(omega2=1.7), MeasuredMode.MODE1),
+        (
+            SqueezedThermalParams(0.3, 1.4, 1.5),
+            EnvironmentParams(lam=0.2, m=1.3, omega1=0.8, omega2=1.6),
+            MeasuredMode.MODE2,
+        ),
+    ],
+    ids=["default", "omega2-1.7-mode1", "asymmetric"],
+)
+def test_sweep_matches_parameter_side_reference(state, env, mode):
+    # every 7th cell of a CLI-shaped sweep against a 50-digit reference
+    # built from (n1, n2, r, m, omega, lam, T, t) with no rounded entry: the
+    # bound covers the rounding of s0, of the Gibbs state and of x
+    pytest.importorskip("mpmath")
+    t_grid, temperature_grid = np.linspace(0.0, 20.0, 200), np.linspace(0.0, 4.0, 40)
+    rows = sweep(build_squeezed_thermal(state), env, t_grid, temperature_grid, mode)
+    params = (state.n1, state.n2, state.r, env.m, env.omega1, env.omega2, env.lam)
+    worst = [0.0, 0.0, 0.0]
+    for row in rows[::7]:
+        want = mp_param_measures(*params, row.temperature, row.t, mode)
+        got = (row.e_n, row.discord, row.nu_minus)
+        worst = [max(w, abs(g - e)) for w, g, e in zip(worst, got, want)]
+    assert max(worst) <= 5e-13, f"largest error in E_N, D, nu_minus: {worst}"

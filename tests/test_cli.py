@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,19 @@ from gaussbath.cli import main, parse_config
 from gaussbath.states import MeasuredMode
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
+
+GOLDEN = Path(__file__).with_name("golden")
+_SWEEP_20X8 = ["sweep", "--points", "20", "--temp-points", "8"]
+# golden file under tests/golden/ -> the CLI arguments that write it: tables
+# go to --output, esd's stdout is the golden
+GOLDENS = {
+    "sweep_20x8.csv": _SWEEP_20X8,
+    "sweep_20x8.json": _SWEEP_20X8 + ["--format", "json"],
+    "sweep_20x8_mode1_omega2_1.7.csv": _SWEEP_20X8 + ["--measured-mode", "mode1", "--omega2", "1.7"],
+    "evolve_50.csv": ["evolve", "--points", "50"],
+    "esd.txt": ["esd"],
+    "esd_T0.3_omega2_1.3.txt": ["esd", "--temperature", "0.3", "--omega2", "1.3"],
+}
 
 
 def test_defaults_match_reference_parameters():
@@ -47,9 +61,11 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 def test_config_file_value_choice_checked(tmp_path, capsys):
     # a config value is read as the same text on the command line would be,
-    # so a fractional or boolean count is rejected, not truncated or cast
+    # so a fractional or boolean count is rejected, not truncated or cast,
+    # and a null has no such text
     cfg = tmp_path / "run.json"
-    for key, value in [("format", "xml"), ("points", 2.5), ("points", True), ("n1", True)]:
+    cases = [("format", "xml"), ("points", 2.5), ("points", True), ("n1", True), ("output", None)]
+    for key, value in cases:
         cfg.write_text(json.dumps({key: value}))
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert f"{key!r}" in capsys.readouterr().err
@@ -131,6 +147,22 @@ def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_huge_temperature_sweep_has_no_cancellation(tmp_path, capsys):
+    # the invariants are exact in x = e^{-2 lam t}; at t = 1e-300, x rounds to
+    # 1, so every cell is the initial state, even against a Gibbs state ~1e300
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--temp-max", "1e300", "--t-max", "1e-300", "--points", "2"]
+    assert main(argv + ["--temp-points", "2", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        ["0.00000000000e+00", "0.00000000000e+00"],
+        ["1.00000000000e-300", "0.00000000000e+00"],
+        ["0.00000000000e+00", "1.00000000000e+300"],
+        ["1.00000000000e-300", "1.00000000000e+300"],
+    ]
+    assert all(row[2:] == rows[0][2:] for row in rows)
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -252,3 +284,27 @@ def test_default_output_filename(tmp_path, capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_cli_output_matches_goldens(tmp_path, capsys):
+    """The CLI's text equals the committed goldens, byte for byte.
+
+    The goldens depend on the platform's libm: sweep and evolve rows on
+    exp and tanh, and the esd lines also on sin and cos, because the
+    sudden-death search scans sigma(t).  A change that moves any output
+    shows here; write the new goldens with the arguments in GOLDENS and
+    report the changed rows with the change.
+    """
+    mismatched = []
+    for name, argv in GOLDENS.items():
+        if argv[0] == "esd":
+            code = main(argv)
+            text = capsys.readouterr().out.encode()
+        else:
+            out = tmp_path / name
+            code = main(argv + ["--output", str(out)])
+            capsys.readouterr()
+            text = out.read_bytes() if code == 0 else b""
+        if code != 0 or text != (GOLDEN / name).read_bytes():
+            mismatched.append(name)
+    assert mismatched == []

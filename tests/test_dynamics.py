@@ -1,11 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from oracles import det4, drift_matrix, evolve_rk4, expm_generic, is_physical, thermal_diffusion
+from oracles import (
+    det4,
+    drift_matrix,
+    evolve_rk4,
+    exact_invariants,
+    expm_generic,
+    is_physical,
+    thermal_diffusion,
+)
 
 from gaussbath.dynamics import (
     EnvironmentParams,
+    _evolved_invariants,
     asymptotic_covariance,
     evolution,
     propagator,
@@ -14,6 +24,7 @@ from gaussbath.errors import InvalidParams
 from gaussbath.states import (
     SqueezedThermalParams,
     build_squeezed_thermal,
+    separability_threshold_r,
     symplectic_spectrum,
 )
 
@@ -275,6 +286,51 @@ def test_evolution_rejects_non_finite_time(t):
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams, match="finite"):
         evolution(s0, EnvironmentParams(lam=0.1))(t)
+
+
+# ---------------------------------------------------------------- exact invariant kernel
+
+
+def test_evolved_invariants_match_closed_form():
+    # the invariant polynomials in x = e^{-2 lam t} against the invariants of
+    # the closed-form sigma(t), which C1 ties to RK4, over the bench box with
+    # unequal frequencies, m != 1, lam = 0 and T = 0; the tolerance covers the
+    # rounding of M(t), of x and of each invariant
+    rng = random.Random(19)
+    for draw in range(120):
+        n1, n2 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+        r = rng.uniform(separability_threshold_r(n1, n2) + 0.2, 3.0)
+        p = EnvironmentParams(
+            lam=0.0 if draw % 10 == 0 else rng.uniform(0.0, 0.3),
+            m=rng.uniform(0.5, 2.0),
+            omega1=rng.uniform(0.5, 2.0),
+            omega2=rng.uniform(0.5, 2.0),
+            temperature=0.0 if draw % 7 == 0 else rng.uniform(0.0, 4.0),
+        )
+        t = rng.uniform(0.0, 30.0)
+        s0 = build_squeezed_thermal(SqueezedThermalParams(n1, n2, r))
+        got = _evolved_invariants(s0, p)(t)
+        den2 = got.den * got.den
+        floats = (got.det_a / den2, got.det_b / den2, got.det_c / den2, got.det_sigma / den2**2)
+        for g, w in zip(floats, exact_invariants(s0, p, t)):
+            assert g == pytest.approx(float(w), rel=1e-11, abs=0.0), (draw, p, t)
+        assert got.positive_definite == evolution(s0, p)(t)._invariants.positive_definite
+
+
+def test_evolved_invariants_where_x_is_one_are_the_initial_state():
+    s0 = build_squeezed_thermal(SqueezedThermalParams(0.3, 1.4, 1.5))
+    p = EnvironmentParams(lam=0.2, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
+    assert _evolved_invariants(s0, p)(0.0) == s0._invariants
+    assert _evolved_invariants(s0, p)(1e-300) == s0._invariants  # x rounds to 1
+    undamped = EnvironmentParams(lam=0.0, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
+    assert _evolved_invariants(s0, undamped)(7.0) == s0._invariants
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_evolved_invariants_reject_bad_time(t):
+    s0 = build_squeezed_thermal(FIG_STATE)
+    with pytest.raises(InvalidParams, match="non-negative"):
+        _evolved_invariants(s0, EnvironmentParams(lam=0.1))(t)
 
 
 # ---------------------------------------------------------------- RK4 oracle
