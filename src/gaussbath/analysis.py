@@ -4,14 +4,16 @@
 on a rectangular (time, temperature) grid; a time series at one bath
 temperature is the sweep over that single temperature.
 ``sudden_death_time`` detects entanglement sudden death via a sign change
-of 4 g(sigma(t)) - 1.  Both take the initial CovarianceMatrix and the bath
-parameters, and a failing cell is named as ``at t=..., T=...``.
+of 4 g(sigma(t)) - 1.  Both take the parameters of the squeezed thermal
+initial state and of the bath, and a failing cell is named as
+``at t=..., T=...``.
 
 The measures read only the block determinants det A, det B, det C and
-det sigma.  ``sweep`` builds them once per bath temperature as exact
-polynomials in x = e^{-2 lam t} and evaluates them exactly per cell, so a
-cell forms no sigma(t) at all.  ``sudden_death_time`` scans sigma(t) from
-one ``evolution`` per search.  Every grid cell is an independent pure
+det sigma.  ``sweep`` takes the exact entries of the initial and the Gibbs
+state once per bath temperature, and each cell forms the four invariants
+as exact products of its evolved quadrature entries, so a cell forms no
+sigma(t) at all.  ``sudden_death_time`` scans sigma(t) from one
+``evolution`` per search.  Every grid cell is an independent pure
 computation, so tables come out identical regardless of evaluation order.
 """
 
@@ -24,8 +26,9 @@ from typing import Sequence
 from .dynamics import EnvironmentParams, _evolved_invariants, evolution
 from .errors import GaussBathError, InvalidInput, InvalidParams
 from .states import (
-    CovarianceMatrix,
     MeasuredMode,
+    SqueezedThermalParams,
+    build_squeezed_thermal,
     gaussian_discord,
     log_negativity,
     ppt_g,
@@ -74,8 +77,10 @@ def _at_cell(t: float, temperature: float, exc: GaussBathError) -> GaussBathErro
     return type(exc)(f"at t={t:g}, T={temperature:g}: {exc}")
 
 
-def sudden_death_time(s0: CovarianceMatrix, p: EnvironmentParams, t_max: float) -> float | None:
-    """Earliest time in (0, t_max] at which the state becomes separable.
+def sudden_death_time(
+    state: SqueezedThermalParams, p: EnvironmentParams, t_max: float
+) -> float | None:
+    """Earliest time in (0, t_max] at which the squeezed thermal state becomes separable.
 
     Works on the sign of h(t) = 4 g(sigma(t)) - 1, which crosses zero where
     the logarithmic negativity hits zero: a coarse scan with step
@@ -90,6 +95,7 @@ def sudden_death_time(s0: CovarianceMatrix, p: EnvironmentParams, t_max: float) 
     """
     if not 0 < t_max < math.inf:
         raise InvalidParams(f"t_max must be positive and finite, got {t_max}")
+    s0 = build_squeezed_thermal(state)
     if log_negativity(s0) <= 0:
         raise InvalidInput("initial state is separable; there is no entanglement to lose")
     state_at = evolution(s0, p)
@@ -120,7 +126,7 @@ def sudden_death_time(s0: CovarianceMatrix, p: EnvironmentParams, t_max: float) 
 
 
 def sweep(
-    s0: CovarianceMatrix,
+    state: SqueezedThermalParams,
     env_base: EnvironmentParams,
     t_grid: Sequence[float],
     temperature_grid: Sequence[float],
@@ -130,22 +136,23 @@ def sweep(
 
     env_base carries the dissipation, mass and frequencies; its temperature
     is replaced by each grid value, so the time series at env_base's own
-    temperature is sweep(s0, env_base, t_grid, [env_base.temperature]).
+    temperature is sweep(state, env_base, t_grid, [env_base.temperature]).
     Rows come in lexicographic (temperature, t) order; each cell is an
-    independent computation from s0, so the table is deterministic and
-    complete.  A failing cell raises its error again, of the same type,
+    independent computation from the parameters, so the table is
+    deterministic and complete.  A failing cell raises its error again, of the same type,
     as "at t=..., T=...: <message>".
     """
     times = _check_grid(t_grid, "t_grid")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
+    s0 = build_squeezed_thermal(state)  # one for all temperatures, so its spectrum is kept
     rows = []
     for temperature in temperatures:
-        invariants_at = _evolved_invariants(s0, replace(env_base, temperature=temperature))
+        invariants_at = _evolved_invariants(state, s0, replace(env_base, temperature=temperature))
         for t in times:
             try:
-                state = invariants_at(t)
-                e_n, discord = log_negativity(state), gaussian_discord(state, measured_mode)
-                nu_minus = symplectic_spectrum(state).nu_minus
+                cell = invariants_at(t)
+                e_n, discord = log_negativity(cell), gaussian_discord(cell, measured_mode)
+                nu_minus = symplectic_spectrum(cell).nu_minus
             except GaussBathError as exc:
                 raise _at_cell(t, temperature, exc) from exc
             rows.append(SweepRow(t, temperature, e_n, discord, nu_minus))

@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import sudden_death_time, sweep
 from .dynamics import EnvironmentParams
 from .errors import GaussBathError, InvalidParams
-from .states import MeasuredMode, SqueezedThermalParams, build_squeezed_thermal
+from .states import MeasuredMode, SqueezedThermalParams
 
 
 class UsageError(Exception):
@@ -265,16 +265,14 @@ def _run_table(config: RunConfig, out_path: Path) -> None:
     else:
         temperature_grid = [config.env.temperature]
         columns = {"t": "t", "E_N": "e_n", "discord": "discord", "nu_minus": "nu_minus"}
-    s0 = build_squeezed_thermal(config.state)
     t_grid = np.linspace(0.0, config.t_max, config.points)
-    cells = sweep(s0, config.env, t_grid, temperature_grid, config.measured_mode)
+    cells = sweep(config.state, config.env, t_grid, temperature_grid, config.measured_mode)
     rows = (tuple(getattr(cell, field) for field in columns.values()) for cell in cells)
     _write_table(config, out_path, tuple(columns), rows)
 
 
 def _run_esd(config: RunConfig) -> None:
-    s0 = build_squeezed_thermal(config.state)
-    t_star = sudden_death_time(s0, config.env, config.t_max)
+    t_star = sudden_death_time(config.state, config.env, config.t_max)
     line = "t_esd=" + (_fmt(t_star) if t_star is not None else "none")
     print(line)
     if config.output is not None:

@@ -21,25 +21,25 @@ builds sigma_inf once for a loop over t and returns sigma(t); the
 sudden-death search runs on it.
 
 The sweep needs only the invariants of sigma(t).  They are those of
-sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}, so
-``_evolved_invariants(s0, p)`` builds their exact integer polynomials in x
-once and evaluates them per t, with no M(t) and no 4x4 matrix.  The
-independent oracles (a fixed-step Runge-Kutta integrator, a generic matrix
-exponential and the closed form in exact rational arithmetic) live with the
-tests.
+sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}.  For the
+squeezed thermal initial state that matrix splits into an x-quadrature and
+a p-quadrature 2x2 block, so ``_evolved_invariants`` forms each invariant
+per t as an exact product of five integer entries, with no M(t) and no 4x4
+matrix.  The independent oracles (a fixed-step Runge-Kutta integrator, a
+generic matrix exponential and the closed form in exact rational
+arithmetic) live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParams
-from .states import CovarianceMatrix, Mat4, _ExactInvariants, _laplace, _scaled_ints
+from .states import CovarianceMatrix, Mat4, SqueezedThermalParams, _ExactInvariants
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class EnvironmentParams:
     lam is the dissipation constant.  lam = 0 is the undamped limit: the
     evolution is then a free rotation, which leaves the Gibbs state
     invariant, so the closed-form solution needs no special case.  Every
-    field must be finite, and the temperature low enough that coth(w/2T)
-    is finite for both modes.
+    field must be finite, the temperature low enough that coth(w/2T) is
+    finite for both modes, and the Gibbs state's entries positive doubles.
     """
 
     lam: float = 0.1
@@ -77,6 +77,28 @@ class EnvironmentParams:
         slowest = min(self.omega1, self.omega2)
         if self.temperature > 0 and math.tanh(slowest / (2.0 * self.temperature)) == 0:
             raise InvalidParams(f"temperature {self.temperature} is too high: tanh(w/2T) is 0")
+        try:
+            gibbs = self._gibbs_diagonal()
+        except ZeroDivisionError:  # 2 m w underflows to 0
+            gibbs = [0.0]
+        if not all(0.0 < g < math.inf for g in gibbs):
+            raise InvalidParams(
+                f"the Gibbs state at m={self.m}, omega1={self.omega1}, omega2={self.omega2}, "
+                f"temperature={self.temperature} has an entry outside the double range"
+            )
+
+    def _gibbs_diagonal(self) -> list[float]:
+        """The Gibbs state's diagonal (x1, p1, x2, p2): coth(w/2T)/(2 m w), m w coth(w/2T)/2.
+
+        At T = 0 the coth weight is 1 (the vacuum of each oscillator).
+        """
+        m, temperature = self.m, self.temperature
+        entries = []
+        for omega in (self.omega1, self.omega2):
+            # coth(w / 2T), whose T = 0 limit is 1
+            coth = 1.0 / math.tanh(omega / (2.0 * temperature)) if temperature > 0 else 1.0
+            entries += [coth / (2.0 * m * omega), m * omega * coth / 2.0]
+        return entries
 
 
 def propagator(p: EnvironmentParams, t: float) -> Mat4:
@@ -99,16 +121,10 @@ def propagator(p: EnvironmentParams, t: float) -> Mat4:
 def asymptotic_covariance(p: EnvironmentParams) -> CovarianceMatrix:
     """Stationary covariance matrix of the dissipative evolution.
 
-    The Gibbs state diag(coth(w/2T)/(2 m w), m w coth(w/2T)/2) per mode,
-    exactly diagonal.  At T = 0 the coth weight is 1 (the vacuum of each
-    oscillator).
+    The Gibbs state of the two oscillators, exactly diagonal, with the
+    entries of p._gibbs_diagonal().
     """
-    entries = []
-    for omega in (p.omega1, p.omega2):
-        # coth(w / 2T), whose T = 0 limit is 1
-        coth = 1.0 / math.tanh(omega / (2.0 * p.temperature)) if p.temperature > 0 else 1.0
-        entries += [coth / (2.0 * p.m * omega), p.m * omega * coth / 2.0]
-    return CovarianceMatrix(np.diag(entries))
+    return CovarianceMatrix(np.diag(p._gibbs_diagonal()))
 
 
 def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], CovarianceMatrix]:
@@ -132,60 +148,32 @@ def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], C
     return at
 
 
-class _Poly:
-    """Polynomial in x with integer coefficients, lowest degree first.
-
-    It has just the ring operations that states._laplace uses.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: Iterable[int]) -> None:
-        self.c = tuple(c)
-
-    def __add__(self, other: _Poly) -> _Poly:
-        return _Poly(a + b for a, b in zip_longest(self.c, other.c, fillvalue=0))
-
-    def __sub__(self, other: _Poly) -> _Poly:
-        return _Poly(a - b for a, b in zip_longest(self.c, other.c, fillvalue=0))
-
-    def __mul__(self, other: _Poly) -> _Poly:
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c):
-                out[i + j] += a * b
-        return _Poly(out)
-
-
 def _evolved_invariants(
-    s0: CovarianceMatrix, p: EnvironmentParams
+    state: SqueezedThermalParams, s0: CovarianceMatrix, p: EnvironmentParams
 ) -> Callable[[float], _ExactInvariants]:
     """The exact invariants of sigma(t), as a function of the time t, without sigma(t).
 
-    Scale each mode by sqrt(m omega_k), a local symplectic change S: then
-    M_k(t) becomes e^{-lam t} R_k(t) with R_k a rotation, and the Gibbs
-    block becomes s_k I, which commutes with R_k.  So, with x = e^{-2 lam t},
-    sigma(t) = L [s_inf + x (s0 - s_inf)] L^T with L = S^-1 R S, and L is
-    local with unit determinant per mode, which changes none of det A,
-    det B, det C and det sigma.  These are polynomials in x of degree 2, 2,
-    2 and 4.  Their integer
-    coefficients over one power-of-two denominator are built once, here;
-    each t evaluates them exactly at the double x = xn / xd, so that the
-    invariants are integers over den * xd, and no trigonometry, no M(t) and
-    no 4x4 matrix is involved.
+    s0 is build_squeezed_thermal(state).  Scaling each mode by sqrt(m omega_k)
+    turns M_k(t) into e^{-lam t} times a rotation that commutes with the
+    scaled Gibbs block, so sigma(t) is a local unit-determinant transform of
+    G + x (s0 - G), x = e^{-2 lam t}, with the same det A, det B, det C and
+    det sigma.  In the order (x1, x2 | p1, p2) that matrix is block diagonal,
+    [[A_x, k], [k, B_x]] and [[A_p, -k], [-k, B_p]], with A_x = x a + (1 - x) g1x
+    (likewise A_p, B_x, B_p from a, b and the Gibbs diagonal) and k = x c:
 
-    positive_definite is s0's verdict: s_inf + x (s0 - s_inf) is a convex
-    combination of s0 and the positive definite Gibbs state.  t must be
-    finite and non-negative; where x is 1 (t = 0, lam = 0, or t so small
-    that x rounds to 1), the invariants are s0's own.
+        det A = A_x A_p,  det B = B_x B_p,  det C = -k^2,
+        det sigma = (A_x B_x - k^2)(A_p B_p - k^2).
+
+    The seven entries become integers over one power-of-two den here; each t
+    forms the products exactly at the double x = xn / xd, over den * xd.
+    positive_definite is s0's verdict, since G + x (s0 - G) is a convex
+    combination of s0 and the Gibbs state.  t must be finite and
+    non-negative; where x is 1 (t = 0, lam = 0, or x rounds to 1), the
+    invariants are s0's own.
     """
-    scaled = [_scaled_ints(a) for a in (asymptotic_covariance(p).sigma, s0.sigma)]
-    den = max(d for _, d in scaled)  # powers of two: each divides the largest
-    base, start = ([[v * (den // d) for v in row] for row in ints] for ints, d in scaled)
-    m = [[_Poly((b, s - b)) for b, s in zip(rb, rs)] for rb, rs in zip(base, start)]
-    (det_a, *_, det_c), (*_, det_b), det_sigma = _laplace(m)
-    # highest degree first, for Horner's rule
-    coefficients = [poly.c[::-1] for poly in (det_a, det_b, det_c, det_sigma)]
+    ratios = [v.as_integer_ratio() for v in (*state._entries(), *p._gibbs_diagonal())]
+    den = max(2, *(d for _, d in ratios))  # powers of two: each divides the largest
+    a, b, c, g1x, g1p, g2x, g2p = (n * (den // d) for n, d in ratios)
     initial = s0._invariants
     rate = -2.0 * p.lam
 
@@ -196,14 +184,13 @@ def _evolved_invariants(
         if x == 1.0:
             return initial
         xn, xd = x.as_integer_ratio()
-        shift = xd.bit_length() - 1  # xd is a power of two
-        values = []
-        for c in coefficients:
-            # homogeneous Horner: xd**n P(xn / xd) for P of degree n
-            acc = 0
-            for k, ck in enumerate(c):
-                acc = acc * xn + (ck << (shift * k))
-            values.append(acc)
-        return _ExactInvariants(den * xd, *values, initial.positive_definite)
+        y = xd - xn
+        a_x, a_p = xn * a + y * g1x, xn * a + y * g1p
+        b_x, b_p = xn * b + y * g2x, xn * b + y * g2p
+        k2 = (xn * c) ** 2
+        det_sigma = (a_x * b_x - k2) * (a_p * b_p - k2)
+        return _ExactInvariants(
+            den * xd, a_x * a_p, b_x * b_p, -k2, det_sigma, initial.positive_definite
+        )
 
     return at

@@ -25,8 +25,8 @@ gives D = 0 exactly on product states.
 Every measure reads only the four block determinants det A, det B, det C
 and det sigma, held as exact integers over a power-of-two denominator in
 ``_ExactInvariants``.  A CovarianceMatrix computes them from its (dyadic)
-float entries; the sweep evaluates them directly from their polynomials in
-the time variable (dynamics._evolved_invariants), and passes them to the
+float entries; a sweep cell forms them as exact products of its evolved
+quadrature entries (dynamics._evolved_invariants) and passes them to the
 measures in place of a matrix.  Each invariant reaches floating point
 through one correctly rounded division.  The physically interesting states
 here sit on or near the degenerate manifold Delta^2 = 4 det sigma
@@ -81,10 +81,10 @@ class Branch(Enum):
 class CovarianceMatrix:
     """4x4 covariance matrix of quadrature second moments, stored symmetric.
 
-    Construction symmetrizes the input (0.5 * (s + s^T)) and rejects
-    non-finite entries, so every instance is exactly symmetric; the stored
-    array is read-only.  The exact integer invariants that every measure
-    reads are computed on first use and kept on the instance.
+    Construction rejects non-finite entries and symmetrizes the input to
+    s/2 + s^T/2, so every instance is exactly symmetric and finite; the
+    stored array is read-only.  The exact integer invariants that every
+    measure reads are computed on first use and kept on the instance.
     """
 
     sigma: Mat4
@@ -95,14 +95,19 @@ class CovarianceMatrix:
             raise InvalidParams(f"covariance matrix must be 4x4, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidParams("covariance matrix entries must be finite")
-        arr = 0.5 * (arr + arr.T)
+        arr *= 0.5  # halved first, since s + s^T can overflow
+        arr = arr + arr.T
         arr.setflags(write=False)
         object.__setattr__(self, "sigma", arr)
 
     @cached_property
     def _invariants(self) -> _ExactInvariants:
         m, den = _scaled_ints(self.sigma)
-        (p01, p02, _, p12, _, p23), (*_, q23), det_sigma = _laplace(m)
+        # the 2x2 minors of the rows (0, 1) and (2, 3): det A = p01, det B = q23,
+        # det C = p23, and det sigma by Laplace expansion along the rows (0, 1)
+        p01, p02, p03, p12, p13, p23 = _minors(m[0], m[1])
+        q01, q02, q03, q12, q13, q23 = _minors(m[2], m[3])
+        det_sigma = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
         # Sylvester's criterion; the leading 3x3 minor by expansion along its row 2
         minor3 = m[2][0] * p12 - m[2][1] * p02 + m[2][2] * p01
         positive_definite = m[0][0] > 0 and p01 > 0 and minor3 > 0 and det_sigma > 0
@@ -126,6 +131,30 @@ class SqueezedThermalParams:
             raise InvalidParams(
                 f"thermal photon numbers must be non-negative, got n1={self.n1}, n2={self.n2}"
             )
+        try:
+            finite = all(map(math.isfinite, self._entries()))
+        except OverflowError:  # cosh or its square past the double range
+            finite = False
+        if not finite:
+            raise InvalidParams(
+                f"covariance matrix entries overflow at n1={self.n1}, n2={self.n2}, r={self.r}"
+            )
+
+    def _entries(self) -> tuple[float, float, float]:
+        """The entries (a, b, c) of the covariance matrix, in the one formula for them:
+
+            a = n1 cosh^2 r + n2 sinh^2 r + cosh(2r)/2
+            b = n1 sinh^2 r + n2 cosh^2 r + cosh(2r)/2
+            c = (n1 + n2 + 1) sinh(2r)/2
+
+        build_squeezed_thermal places them in sigma; the sweep kernel reads them.
+        """
+        n1, n2, r = self.n1, self.n2, self.r
+        ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
+        a = n1 * ch2 + n2 * sh2 + 0.5 * math.cosh(2 * r)
+        b = n1 * sh2 + n2 * ch2 + 0.5 * math.cosh(2 * r)
+        c = 0.5 * (n1 + n2 + 1) * math.sinh(2 * r)
+        return a, b, c
 
 
 @dataclass(frozen=True)
@@ -182,20 +211,6 @@ def _minors(u: list, v: list) -> tuple:
     )
 
 
-def _laplace(m: list[list]) -> tuple[tuple, tuple, object]:
-    """(P, Q, det m): the 2x2 minors P of the rows (0, 1) and Q of the rows (2, 3),
-    in the column order of _minors, and det m by Laplace expansion along the
-    rows (0, 1).  det A = P_01, det B = Q_23 and det C = P_23.
-
-    Only +, - and * are used, so the entries may be ints or any exact ring
-    elements, such as the polynomials of dynamics._evolved_invariants.
-    """
-    p01, p02, p03, p12, p13, p23 = p = _minors(m[0], m[1])
-    q01, q02, q03, q12, q13, q23 = q = _minors(m[2], m[3])
-    det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-    return p, q, det
-
-
 def _to_float(num: int, den: int) -> float:
     """num / den, correctly rounded (Python's int / int); DomainError on overflow."""
     try:
@@ -244,19 +259,11 @@ _State = Union[CovarianceMatrix, _ExactInvariants]
 def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
     """Covariance matrix of a two-mode squeezed thermal state.
 
-    The diagonal entries are
-
-        a = n1 cosh^2 r + n2 sinh^2 r + cosh(2r)/2
-        b = n1 sinh^2 r + n2 cosh^2 r + cosh(2r)/2
-
-    and the cross block is C = diag(c, -c) with c = (n1 + n2 + 1) sinh(2r)/2.
-    At n1 = n2 = r = 0 this is the two-mode vacuum diag(1/2, ..., 1/2).
+    The local blocks are A = a I and B = b I and the cross block is
+    C = diag(c, -c), with (a, b, c) = params._entries().  At
+    n1 = n2 = r = 0 this is the two-mode vacuum diag(1/2, ..., 1/2).
     """
-    n1, n2, r = params.n1, params.n2, params.r
-    ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-    a = n1 * ch2 + n2 * sh2 + 0.5 * math.cosh(2 * r)
-    b = n1 * sh2 + n2 * ch2 + 0.5 * math.cosh(2 * r)
-    c = 0.5 * (n1 + n2 + 1) * math.sinh(2 * r)
+    a, b, c = params._entries()
     sigma = np.array(
         [
             [a, 0.0, c, 0.0],

@@ -11,7 +11,7 @@ None of this is used by the package itself:
 * ``det2``/``det3``/``det4`` are plain float cofactor determinants, as an
   oracle for the exact integer invariants;
 * ``exact_invariants`` forms the closed-form sigma(t) in rational
-  arithmetic, as an oracle for the invariant polynomials in x;
+  arithmetic, as an oracle for the sweep's invariant kernel;
 * ``mp_measures`` recomputes E_N, D and nu_minus from the exact float
   entries with rational determinants and 60-digit ``mpmath`` arithmetic,
   as an oracle for the whole static-measure path;

@@ -58,10 +58,9 @@ def _report(cid, ok, detail):
 
 @pytest.fixture(scope="module")
 def entangled_trajectories():
-    s0 = build_squeezed_thermal(FIG_STATE)
     grid = {}
     for temperature in TEMPERATURE_GRID:
-        points = sweep(s0, _env(float(temperature)), T_GRID, [float(temperature)])
+        points = sweep(FIG_STATE, _env(float(temperature)), T_GRID, [float(temperature)])
         grid[float(temperature)] = points
         low = min(2.0 * pt.nu_minus for pt in points)
         _witnesses["C7/C8 grid"] = min(low, _witnesses.get("C7/C8 grid", math.inf))
@@ -70,10 +69,9 @@ def entangled_trajectories():
 
 @pytest.fixture(scope="module")
 def separable_trajectories():
-    s0 = build_squeezed_thermal(SEPARABLE_STATE)
     grid = {}
     for temperature in TEMPERATURE_GRID:
-        points = sweep(s0, _env(float(temperature)), T_GRID, [float(temperature)])
+        points = sweep(SEPARABLE_STATE, _env(float(temperature)), T_GRID, [float(temperature)])
         grid[float(temperature)] = points
         low = min(2.0 * pt.nu_minus for pt in points)
         _witnesses["C3 grid"] = min(low, _witnesses.get("C3 grid", math.inf))
@@ -133,18 +131,18 @@ def test_c03_separable_state_stays_separable(separable_trajectories):
 def test_c04_entanglement_sudden_death():
     s0 = build_squeezed_thermal(FIG_STATE)
     warm = _env(1.0)
-    t_star = sudden_death_time(s0, warm, 20.0)
+    t_star = sudden_death_time(FIG_STATE, warm, 20.0)
     finite_death = t_star is not None and 0.0 < t_star < 20.0
     regression = finite_death and abs(t_star - T_STAR_REGRESSION) <= 5e-6
 
     dead_after = True
     if finite_death:
-        warm_points = sweep(s0, warm, T_GRID, [warm.temperature])
+        warm_points = sweep(FIG_STATE, warm, T_GRID, [warm.temperature])
         _watch("C4", (evolution(s0, warm)(t) for t in (t_star - 0.01, t_star + 0.01)))
         dead_after = all(pt.e_n == 0.0 for pt in warm_points if pt.t > t_star)
 
     cold = _env(0.0)
-    no_cold_death = sudden_death_time(s0, cold, 20.0) is None
+    no_cold_death = sudden_death_time(FIG_STATE, cold, 20.0) is None
     cold_start = log_negativity(s0)
     cold_end = log_negativity(evolution(s0, cold)(20.0))
     cold_decays = 0.0 < cold_end < cold_start
@@ -160,8 +158,8 @@ def test_c04_entanglement_sudden_death():
 
 def test_c05_stronger_dissipation_kills_entanglement_earlier():
     s0 = build_squeezed_thermal(FIG_STATE)
-    t_weak = sudden_death_time(s0, _env(1.0, lam=0.1), 20.0)
-    t_strong = sudden_death_time(s0, _env(1.0, lam=0.2), 20.0)
+    t_weak = sudden_death_time(FIG_STATE, _env(1.0, lam=0.1), 20.0)
+    t_strong = sudden_death_time(FIG_STATE, _env(1.0, lam=0.2), 20.0)
     _watch(
         "C5",
         (
@@ -222,7 +220,7 @@ def test_c07_discord_properties(entangled_trajectories):
 
 
 def test_c08_discord_above_one_implies_entanglement():
-    rows = sweep(build_squeezed_thermal(FIG_STATE), _env(0.0), T_GRID, TEMPERATURE_GRID)
+    rows = sweep(FIG_STATE, _env(0.0), T_GRID, TEMPERATURE_GRID)
     above = [row for row in rows if row.discord > 1.0 + 1e-12]
     violations = [row for row in above if row.e_n <= 0.0]
     ok = len(violations) == 0 and len(above) > 0

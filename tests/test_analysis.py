@@ -19,7 +19,6 @@ from gaussbath.states import (
 )
 
 FIG_STATE = SqueezedThermalParams(n1=1.0, n2=1.0, r=2.0)
-FIG_S0 = build_squeezed_thermal(FIG_STATE)
 
 # locked regression from this implementation's own bisection, cross-checked
 # against the RK4 integrator in test_sudden_death_sign_change_confirmed_by_rk4;
@@ -36,7 +35,7 @@ def fig_env(temperature, lam=0.1):
 
 def test_trajectory_single_point_matches_direct_measures():
     s0 = build_squeezed_thermal(FIG_STATE)
-    points = sweep(s0, fig_env(1.0), [0.0], [1.0])
+    points = sweep(FIG_STATE, fig_env(1.0), [0.0], [1.0])
     assert len(points) == 1
     pt = points[0]
     assert pt.t == 0.0
@@ -46,14 +45,12 @@ def test_trajectory_single_point_matches_direct_measures():
 
 
 def test_trajectory_zero_temperature_stays_entangled():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    points = sweep(s0, fig_env(0.0), np.linspace(0.0, 20.0, 50), [0.0])
+    points = sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 20.0, 50), [0.0])
     assert all(pt.e_n > 0.0 for pt in points)
 
 
 def test_trajectory_warm_bath_reaches_separability():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    points = sweep(s0, fig_env(1.0), np.linspace(0.0, 20.0, 200), [1.0])
+    points = sweep(FIG_STATE, fig_env(1.0), np.linspace(0.0, 20.0, 200), [1.0])
     assert any(pt.e_n == 0.0 for pt in points)
 
 
@@ -61,13 +58,11 @@ def test_trajectory_warm_bath_reaches_separability():
 
 
 def test_sudden_death_zero_temperature_never_dies():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    assert sudden_death_time(s0, fig_env(0.0), 20.0) is None
+    assert sudden_death_time(FIG_STATE, fig_env(0.0), 20.0) is None
 
 
 def test_sudden_death_warm_bath_regression():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    t_star = sudden_death_time(s0, fig_env(1.0), 20.0)
+    t_star = sudden_death_time(FIG_STATE, fig_env(1.0), 20.0)
     assert t_star is not None
     assert 0.0 < t_star < 20.0
     assert t_star == pytest.approx(T_STAR_T1_LAM01, abs=5e-6)
@@ -103,35 +98,34 @@ def closed_form_death_time(n, r, lam, temperature):
     ],
 )
 def test_sudden_death_matches_closed_form(n, r, lam, temperature):
-    s0 = build_squeezed_thermal(SqueezedThermalParams(n, n, r))
+    state = SqueezedThermalParams(n, n, r)
     expected = closed_form_death_time(n, r, lam, temperature)
     t_max = max(20.0, 2.0 * expected)
-    t_star = sudden_death_time(s0, fig_env(temperature, lam=lam), t_max)
+    t_star = sudden_death_time(state, fig_env(temperature, lam=lam), t_max)
     assert abs(t_star - expected) <= 1e-6
     # at T = 0 the variance relaxes to 1/2 from below and never reaches it
-    assert sudden_death_time(s0, fig_env(0.0, lam=lam), t_max) is None
+    assert sudden_death_time(state, fig_env(0.0, lam=lam), t_max) is None
 
 
 def test_sudden_death_sign_change_confirmed_by_rk4():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = fig_env(1.0)
-    t_star = sudden_death_time(s0, p, 20.0)
+    t_star = sudden_death_time(FIG_STATE, p, 20.0)
     before = 4.0 * ppt_g(evolve_rk4(s0, p, t_star - 0.01, 1e-3)) - 1.0
     after = 4.0 * ppt_g(evolve_rk4(s0, p, t_star + 0.01, 1e-3)) - 1.0
     assert before < 0.0 < after
 
 
 def test_sudden_death_earlier_for_stronger_dissipation():
-    s0 = build_squeezed_thermal(FIG_STATE)
-    t_weak = sudden_death_time(s0, fig_env(1.0, lam=0.1), 20.0)
-    t_strong = sudden_death_time(s0, fig_env(1.0, lam=0.2), 20.0)
+    t_weak = sudden_death_time(FIG_STATE, fig_env(1.0, lam=0.1), 20.0)
+    t_strong = sudden_death_time(FIG_STATE, fig_env(1.0, lam=0.2), 20.0)
     assert t_strong < t_weak
 
 
 def test_sudden_death_is_permanent_on_grid():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = fig_env(1.0)
-    t_star = sudden_death_time(s0, p, 20.0)
+    t_star = sudden_death_time(FIG_STATE, p, 20.0)
     for t in np.linspace(0.0, 20.0, 200):
         if t > t_star:
             e_n = log_negativity(evolution(s0, p)(float(t)))
@@ -141,7 +135,7 @@ def test_sudden_death_is_permanent_on_grid():
 def test_discord_continuous_across_death_time():
     s0 = build_squeezed_thermal(FIG_STATE)
     p = fig_env(1.0)
-    t_star = sudden_death_time(s0, p, 20.0)
+    t_star = sudden_death_time(FIG_STATE, p, 20.0)
     delta = 1e-3
 
     def discord_at(t):
@@ -156,15 +150,14 @@ def test_discord_continuous_across_death_time():
 
 
 def test_sudden_death_rejects_separable_initial_state():
-    separable = build_squeezed_thermal(SqueezedThermalParams(1.0, 1.0, 0.3))
+    separable = SqueezedThermalParams(1.0, 1.0, 0.3)
     with pytest.raises(InvalidInput):
         sudden_death_time(separable, fig_env(1.0), 20.0)
 
 
 def test_sudden_death_rejects_infinite_horizon():
-    s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams, match="t_max"):
-        sudden_death_time(s0, fig_env(1.0), float("inf"))
+        sudden_death_time(FIG_STATE, fig_env(1.0), float("inf"))
 
 
 def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
@@ -172,9 +165,8 @@ def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
         raise NonPhysical("radicand negative")
 
     monkeypatch.setattr(analysis, "ppt_g", broken_ppt_g)
-    s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(NonPhysical, match=r"^at t=0\.01, T=1\.5: radicand negative$"):
-        sudden_death_time(s0, fig_env(1.5), 20.0)
+        sudden_death_time(FIG_STATE, fig_env(1.5), 20.0)
 
 
 # ---------------------------------------------------------------- sweep
@@ -182,7 +174,7 @@ def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
 
 def test_sweep_single_cell_at_origin():
     s0 = build_squeezed_thermal(FIG_STATE)
-    rows = sweep(FIG_S0, fig_env(0.0), [0.0], [0.7])
+    rows = sweep(FIG_STATE, fig_env(0.0), [0.0], [0.7])
     assert len(rows) == 1
     row = rows[0]
     assert row.t == 0.0
@@ -198,7 +190,7 @@ def test_sweep_failure_names_time_and_temperature(monkeypatch, tmp_path, capsys)
 
     monkeypatch.setattr(analysis, "gaussian_discord", broken_discord)
     with pytest.raises(NonPhysical, match=r"^at t=0\.5, T=1\.5: radicand negative$"):
-        sweep(FIG_S0, fig_env(0.0), [0.5, 1.0], [1.5, 2.0])
+        sweep(FIG_STATE, fig_env(0.0), [0.5, 1.0], [1.5, 2.0])
     # evolve is the same loop over its one temperature
     argv = ["evolve", "--temperature", "0.25", "--output", str(tmp_path / "out.csv")]
     assert cli.main(argv) == 1
@@ -208,14 +200,14 @@ def test_sweep_failure_names_time_and_temperature(monkeypatch, tmp_path, capsys)
 def test_sweep_row_order_is_lexicographic():
     t_grid = [0.0, 1.0, 2.0]
     temperature_grid = [0.0, 1.0]
-    rows = sweep(FIG_S0, fig_env(0.0), t_grid, temperature_grid)
+    rows = sweep(FIG_STATE, fig_env(0.0), t_grid, temperature_grid)
     assert len(rows) == 6
     seen = [(row.temperature, row.t) for row in rows]
     assert seen == sorted(seen)
 
 
 def test_sweep_discord_decreases_with_temperature():
-    rows = sweep(FIG_S0, fig_env(0.0), [2.0, 5.0, 10.0], [0.0, 0.5, 1.0, 2.0])
+    rows = sweep(FIG_STATE, fig_env(0.0), [2.0, 5.0, 10.0], [0.0, 0.5, 1.0, 2.0])
     by_time = {}
     for row in rows:
         by_time.setdefault(row.t, []).append(row.discord)
@@ -226,30 +218,29 @@ def test_sweep_discord_decreases_with_temperature():
 def test_sweep_rows_independent_of_evaluation_order():
     t_grid = np.linspace(0.0, 10.0, 7)
     temperature_grid = np.linspace(0.0, 2.0, 4)
-    rows = sweep(FIG_S0, fig_env(0.0), t_grid, temperature_grid)
-    s0 = build_squeezed_thermal(FIG_STATE)
+    rows = sweep(FIG_STATE, fig_env(0.0), t_grid, temperature_grid)
     # recompute every cell in reverse order through independent one-cell sweeps
     for row in reversed(rows):
         p = EnvironmentParams(lam=0.1, temperature=row.temperature)
-        (cell,) = sweep(s0, p, [row.t], [row.temperature])
+        (cell,) = sweep(FIG_STATE, p, [row.t], [row.temperature])
         assert cell.e_n == row.e_n
         assert cell.discord == row.discord
 
 
 def test_sweep_validates_grids():
     with pytest.raises(InvalidParams):
-        sweep(FIG_S0, fig_env(0.0), [], [0.0])
+        sweep(FIG_STATE, fig_env(0.0), [], [0.0])
     with pytest.raises(InvalidParams):
-        sweep(FIG_S0, fig_env(0.0), [1.0, 0.5], [0.0])
+        sweep(FIG_STATE, fig_env(0.0), [1.0, 0.5], [0.0])
     with pytest.raises(InvalidParams):
-        sweep(FIG_S0, fig_env(0.0), [0.0], [2.0, 1.0])
+        sweep(FIG_STATE, fig_env(0.0), [0.0], [2.0, 1.0])
 
 
 def test_sweep_rejects_non_finite_grid_values():
     with pytest.raises(InvalidParams, match="t_grid"):
-        sweep(FIG_S0, fig_env(0.0), [0.0, float("inf")], [1.0])
+        sweep(FIG_STATE, fig_env(0.0), [0.0, float("inf")], [1.0])
     with pytest.raises(InvalidParams, match="temperature_grid"):
-        sweep(FIG_S0, fig_env(0.0), [0.0], [1.0, float("nan")])
+        sweep(FIG_STATE, fig_env(0.0), [0.0], [1.0, float("nan")])
 
 
 def _count_calls(monkeypatch, module, name):
@@ -265,7 +256,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
-    # the Gibbs state and the invariant polynomials depend on the temperature
+    # the Gibbs state and the kernel's exact entries depend on the temperature
     # only; each cell's spectrum is computed once, for the discord's bona fide
     # check, and its nu_minus column reads the same value: one
     # _squared_spectrum call for it and one for the partial transpose
@@ -273,8 +264,7 @@ def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
     gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
     spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
     squared = _count_calls(monkeypatch, states, "_squared_spectrum")
-    s0 = build_squeezed_thermal(FIG_STATE)
-    sweep(s0, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
+    sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
     assert len(builds) == 3
     assert len(gibbs) <= 3
     assert len(spectra) == 5 * 3
@@ -287,12 +277,12 @@ def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
     assert len(squared) == 2 * 5
 
     gibbs.clear()
-    sudden_death_time(build_squeezed_thermal(FIG_STATE), fig_env(1.0), 20.0)
+    sudden_death_time(FIG_STATE, fig_env(1.0), 20.0)
     assert len(gibbs) == 1
 
 
 def test_sweep_respects_measured_mode():
-    asymmetric = build_squeezed_thermal(SqueezedThermalParams(n1=2.0, n2=0.0, r=1.0))
+    asymmetric = SqueezedThermalParams(n1=2.0, n2=0.0, r=1.0)
     t1 = sweep(asymmetric, fig_env(0.0), [0.0], [0.5], MeasuredMode.MODE1)
     t2 = sweep(asymmetric, fig_env(0.0), [0.0], [0.5], MeasuredMode.MODE2)
     assert t1[0].discord != t2[0].discord
@@ -302,7 +292,7 @@ def test_sweep_respects_measured_mode():
 
 
 def test_classify_threshold_late_time_rows_decay():
-    rows = sweep(FIG_S0, fig_env(0.0), [250.0], [0.5, 1.0, 2.0])
+    rows = sweep(FIG_STATE, fig_env(0.0), [250.0], [0.5, 1.0, 2.0])
     assert all(row.discord <= 1e-6 for row in rows)
 
 
@@ -328,7 +318,7 @@ def test_sweep_matches_parameter_side_reference(state, env, mode):
     # bound covers the rounding of s0, of the Gibbs state and of x
     pytest.importorskip("mpmath")
     t_grid, temperature_grid = np.linspace(0.0, 20.0, 200), np.linspace(0.0, 4.0, 40)
-    rows = sweep(build_squeezed_thermal(state), env, t_grid, temperature_grid, mode)
+    rows = sweep(state, env, t_grid, temperature_grid, mode)
     params = (state.n1, state.n2, state.r, env.m, env.omega1, env.omega2, env.lam)
     worst = [0.0, 0.0, 0.0]
     for row in rows[::7]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -20,6 +21,17 @@ GOLDENS = {
     "evolve_50.csv": ["evolve", "--points", "50"],
     "esd.txt": ["esd"],
     "esd_T0.3_omega2_1.3.txt": ["esd", "--temperature", "0.3", "--omega2", "1.3"],
+}
+
+
+# SHA-256 of the default outputs: sweep on 200 x 40 cells and evolve on 200
+# points, CSV and JSON.  Like the goldens, they depend on the platform's libm
+# (exp and tanh).  When one moves, tests/rowdiff.py reports which rows did.
+DEFAULT_DIGESTS = {
+    ("sweep", "csv"): "094311bdfae1d1fe9f66c25781b250733a074e73d5f21a7c55313a2213055110",
+    ("sweep", "json"): "70c4905bb2ca4a3e98e6abf2b6646b9942bd17f6e2fda318980d9270da260125",
+    ("evolve", "csv"): "035707cbe7787ec9821779eb75f693d73e61872511483c00ced7149867ef2c4f",
+    ("evolve", "json"): "9b20d04ac5bbb8940d5720ae667cb12f43e4d05ea1251757fc89aaa276891bf0",
 }
 
 
@@ -107,7 +119,17 @@ def test_non_finite_squeezing_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n1", -1), ("n2", -1), ("mass", 0), ("omega1", 0), ("omega2", -1)]
+    "key, value",
+    [
+        ("n1", -1),
+        ("n2", -1),
+        ("mass", 0),
+        ("omega1", 0),
+        ("omega2", -1),
+        ("squeezing", 400),
+        ("squeezing", 355.2),
+        ("omega1", 1e-300),
+    ],
 )
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_parameter_rejected_by_library_is_usage_error(key, value, via, tmp_path, capsys):
@@ -147,6 +169,28 @@ def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--squeezing", "400"], 2),
+        (["esd", "--squeezing", "400"], 2),
+        (["evolve", "--squeezing", "355"], 1),
+        (["esd", "--squeezing", "355"], 1),
+    ],
+    ids=["sweep-400", "esd-400", "evolve-355", "esd-355"],
+)
+def test_huge_squeezing_fails_with_one_error_line(argv, code, tmp_path, capsys):
+    # at r = 400 the entries overflow (exit 2); at r = 355 they are finite,
+    # near 1.7e308, and an invariant overflows (exit 1), named at its cell on
+    # the table path
+    assert main(argv + ["--output", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert err.count("\n") == 1
+    if argv[0] == "evolve" and code == 1:
+        assert err.startswith("numerical failure: at t=0, T=1: ")
 
 
 def test_huge_temperature_sweep_has_no_cancellation(tmp_path, capsys):
@@ -307,4 +351,15 @@ def test_cli_output_matches_goldens(tmp_path, capsys):
             text = out.read_bytes() if code == 0 else b""
         if code != 0 or text != (GOLDEN / name).read_bytes():
             mismatched.append(name)
+    assert mismatched == []
+
+
+def test_default_outputs_match_digests(tmp_path, capsys):
+    mismatched = []
+    for (command, fmt), digest in DEFAULT_DIGESTS.items():
+        out = tmp_path / f"{command}.{fmt}"
+        assert main([command, "--format", fmt, "--output", str(out)]) == 0
+        if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            mismatched.append(out.name)
+    capsys.readouterr()
     assert mismatched == []

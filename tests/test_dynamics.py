@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
+    _block_dets,
     det4,
     drift_matrix,
     evolve_rk4,
@@ -61,6 +63,20 @@ def test_environment_params_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(InvalidParams, match=field):
                 EnvironmentParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"omega1": 1e-300, "temperature": 1.0},  # coth/(2 m w) overflows
+        {"m": 1e-310, "temperature": 0.0},  # 1/(2 m w) overflows
+        {"m": 1e-200, "omega1": 1e-200},  # 2 m w underflows to 0
+        {"m": 1e154, "omega1": 1e154, "omega2": 1e154},  # 2 m w overflows: 1/(2 m w) is 0
+    ],
+)
+def test_environment_params_reject_gibbs_entries_outside_double_range(kwargs):
+    with pytest.raises(InvalidParams, match="Gibbs state .* outside the double range"):
+        EnvironmentParams(**kwargs)
 
 
 def test_environment_params_allow_zero_damping():
@@ -291,13 +307,11 @@ def test_evolution_rejects_non_finite_time(t):
 # ---------------------------------------------------------------- exact invariant kernel
 
 
-def test_evolved_invariants_match_closed_form():
-    # the invariant polynomials in x = e^{-2 lam t} against the invariants of
-    # the closed-form sigma(t), which C1 ties to RK4, over the bench box with
-    # unequal frequencies, m != 1, lam = 0 and T = 0; the tolerance covers the
-    # rounding of M(t), of x and of each invariant
-    rng = random.Random(19)
-    for draw in range(120):
+def box_draws(seed, count):
+    """Seeded (state, bath, t) draws over the bench box, with unequal
+    frequencies, m != 1, and lam = 0 and T = 0 among them."""
+    rng = random.Random(seed)
+    for draw in range(count):
         n1, n2 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
         r = rng.uniform(separability_threshold_r(n1, n2) + 0.2, 3.0)
         p = EnvironmentParams(
@@ -307,9 +321,17 @@ def test_evolved_invariants_match_closed_form():
             omega2=rng.uniform(0.5, 2.0),
             temperature=0.0 if draw % 7 == 0 else rng.uniform(0.0, 4.0),
         )
-        t = rng.uniform(0.0, 30.0)
-        s0 = build_squeezed_thermal(SqueezedThermalParams(n1, n2, r))
-        got = _evolved_invariants(s0, p)(t)
+        yield SqueezedThermalParams(n1, n2, r), p, rng.uniform(0.0, 30.0)
+
+
+def test_evolved_invariants_match_closed_form():
+    # the invariants of the kernel against those of the closed-form sigma(t),
+    # which C1 ties to RK4, over the bench box with unequal frequencies,
+    # m != 1, lam = 0 and T = 0; the tolerance covers the rounding of M(t),
+    # of x and of each invariant
+    for draw, (state, p, t) in enumerate(box_draws(19, 120)):
+        s0 = build_squeezed_thermal(state)
+        got = _evolved_invariants(state, s0, p)(t)
         den2 = got.den * got.den
         floats = (got.det_a / den2, got.det_b / den2, got.det_c / den2, got.det_sigma / den2**2)
         for g, w in zip(floats, exact_invariants(s0, p, t)):
@@ -317,20 +339,39 @@ def test_evolved_invariants_match_closed_form():
         assert got.positive_definite == evolution(s0, p)(t)._invariants.positive_definite
 
 
+def test_evolved_invariants_are_exact_block_determinants():
+    # the products of the evolved quadrature entries equal, as fractions, the
+    # block determinants of G + x (s0 - G) formed in exact rationals from the
+    # double entries of s0 and of the Gibbs state G, at the same double x
+    for state, p, t in box_draws(21, 150):
+        s0 = build_squeezed_thermal(state)
+        got = _evolved_invariants(state, s0, p)(t)
+        x = Fraction(math.exp(-2.0 * p.lam * t))
+        gibbs, start = (
+            [[Fraction(v) for v in row] for row in a.tolist()]
+            for a in (asymptotic_covariance(p).sigma, s0.sigma)
+        )
+        q = [[g + x * (s - g) for g, s in zip(rg, rs)] for rg, rs in zip(gibbs, start)]
+        den2 = got.den * got.den
+        dets = (got.det_a, den2), (got.det_b, den2), (got.det_c, den2), (got.det_sigma, den2**2)
+        assert tuple(Fraction(num, den) for num, den in dets) == _block_dets(q), (state, p, t)
+
+
 def test_evolved_invariants_where_x_is_one_are_the_initial_state():
-    s0 = build_squeezed_thermal(SqueezedThermalParams(0.3, 1.4, 1.5))
+    state = SqueezedThermalParams(0.3, 1.4, 1.5)
+    s0 = build_squeezed_thermal(state)
     p = EnvironmentParams(lam=0.2, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
-    assert _evolved_invariants(s0, p)(0.0) == s0._invariants
-    assert _evolved_invariants(s0, p)(1e-300) == s0._invariants  # x rounds to 1
+    assert _evolved_invariants(state, s0, p)(0.0) == s0._invariants
+    assert _evolved_invariants(state, s0, p)(1e-300) == s0._invariants  # x rounds to 1
     undamped = EnvironmentParams(lam=0.0, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
-    assert _evolved_invariants(s0, undamped)(7.0) == s0._invariants
+    assert _evolved_invariants(state, s0, undamped)(7.0) == s0._invariants
 
 
 @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
 def test_evolved_invariants_reject_bad_time(t):
     s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams, match="non-negative"):
-        _evolved_invariants(s0, EnvironmentParams(lam=0.1))(t)
+        _evolved_invariants(FIG_STATE, s0, EnvironmentParams(lam=0.1))(t)
 
 
 # ---------------------------------------------------------------- RK4 oracle

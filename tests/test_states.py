@@ -59,6 +59,14 @@ def test_covariance_matrix_rejects_bad_shape_and_nan():
         CovarianceMatrix(bad)
 
 
+def test_covariance_matrix_symmetrizing_stays_finite():
+    # halving before adding: 0.5 * (s + s^T) would overflow an entry of 1.5e308
+    raw = np.diag([1.5e308, 1.0, 1.0, 1.0])
+    raw[0, 2] = raw[2, 0] = 1.5e308
+    s = CovarianceMatrix(raw)
+    assert np.array_equal(s.sigma, raw)
+
+
 def test_covariance_matrix_storage_is_readonly():
     s = CovarianceMatrix(np.eye(4))
     with pytest.raises(ValueError):
@@ -78,6 +86,15 @@ def test_squeezed_thermal_params_reject_non_finite():
             kwargs = {"n1": 1.0, "n2": 1.0, "r": 1.0, field: value}
             with pytest.raises(InvalidParams, match=field):
                 SqueezedThermalParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, r", [(1.0, 1.0, 400.0), (1.0, 1.0, 355.2), (0.0, 0.0, 356.0), (1e308, 1.0, 1.0)]
+)
+def test_squeezed_thermal_params_reject_overflowing_entries(n1, n2, r):
+    # cosh^2 r raises OverflowError at r = 400; a, b and c are inf at 355.2
+    with pytest.raises(InvalidParams, match="entries overflow"):
+        SqueezedThermalParams(n1, n2, r)
 
 
 # ---------------------------------------------------------------- blocks
