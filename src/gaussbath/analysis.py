@@ -10,10 +10,11 @@ initial state and of the bath, and a failing cell is named as
 
 The measures read only the block determinants det A, det B, det C and
 det sigma.  ``sweep`` takes the exact entries of the initial and the Gibbs
-state once per bath temperature, and each cell forms the four invariants
-as exact products of its evolved quadrature entries, so a cell forms no
-sigma(t) at all.  ``sudden_death_time`` scans sigma(t) from one
-``evolution`` per search.  Every grid cell is an independent pure
+state once per bath temperature; each cell forms the four invariants as
+exact products of its evolved quadrature entries and hands the integers to
+the private measure rules of ``states`` (``_measures``), so a cell forms no
+sigma(t) and no result object but its row.  ``sudden_death_time`` scans
+sigma(t) from one ``evolution`` per search.  Every grid cell is an independent pure
 computation, so tables come out identical regardless of evaluation order.
 """
 
@@ -28,11 +29,10 @@ from .errors import GaussBathError, InvalidInput, InvalidParams
 from .states import (
     MeasuredMode,
     SqueezedThermalParams,
+    _measures,
     build_squeezed_thermal,
-    gaussian_discord,
     log_negativity,
     ppt_g,
-    symplectic_spectrum,
 )
 
 # Coarse-scan resolution of the sudden-death search.  The witness depends on
@@ -96,7 +96,11 @@ def sudden_death_time(
     if not 0 < t_max < math.inf:
         raise InvalidParams(f"t_max must be positive and finite, got {t_max}")
     s0 = build_squeezed_thermal(state)
-    if log_negativity(s0) <= 0:
+    try:
+        entangled = log_negativity(s0) > 0
+    except GaussBathError as exc:
+        raise _at_cell(0.0, p.temperature, exc) from exc
+    if not entangled:
         raise InvalidInput("initial state is separable; there is no entanglement to lose")
     state_at = evolution(s0, p)
 
@@ -144,15 +148,13 @@ def sweep(
     """
     times = _check_grid(t_grid, "t_grid")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
-    s0 = build_squeezed_thermal(state)  # one for all temperatures, so its spectrum is kept
+    s0 = build_squeezed_thermal(state)  # one for all temperatures
     rows = []
     for temperature in temperatures:
         invariants_at = _evolved_invariants(state, s0, replace(env_base, temperature=temperature))
         for t in times:
             try:
-                cell = invariants_at(t)
-                e_n, discord = log_negativity(cell), gaussian_discord(cell, measured_mode)
-                nu_minus = symplectic_spectrum(cell).nu_minus
+                e_n, discord, nu_minus = _measures(invariants_at(t), measured_mode)
             except GaussBathError as exc:
                 raise _at_cell(t, temperature, exc) from exc
             rows.append(SweepRow(t, temperature, e_n, discord, nu_minus))

@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -205,9 +206,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     )
 
 
-def _fmt(x: float) -> str:
-    """Fixed scientific notation with 12 significant digits."""
-    return f"{x:.11e}"
+# Fixed scientific notation with 12 significant digits, for every printed value.
+_FMT = "%.11e"
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -227,8 +227,8 @@ def _write_table(
     takes its temperatures from the grid, evolve from --temperature.
     """
     if config.format == "csv":
-        body = (",".join(map(_fmt, row)) for row in rows)
-        _write_lines(out_path, chain([",".join(columns)], body))
+        line = ",".join([_FMT] * len(columns))  # formats a whole row in one step
+        _write_lines(out_path, chain([",".join(columns)], (line % row for row in rows)))
         return
     env = config.env
     env_meta = {"lambda": env.lam, "mass": env.m, "omega1": env.omega1, "omega2": env.omega2}
@@ -267,13 +267,12 @@ def _run_table(config: RunConfig, out_path: Path) -> None:
         columns = {"t": "t", "E_N": "e_n", "discord": "discord", "nu_minus": "nu_minus"}
     t_grid = np.linspace(0.0, config.t_max, config.points)
     cells = sweep(config.state, config.env, t_grid, temperature_grid, config.measured_mode)
-    rows = (tuple(getattr(cell, field) for field in columns.values()) for cell in cells)
-    _write_table(config, out_path, tuple(columns), rows)
+    _write_table(config, out_path, tuple(columns), map(attrgetter(*columns.values()), cells))
 
 
 def _run_esd(config: RunConfig) -> None:
     t_star = sudden_death_time(config.state, config.env, config.t_max)
-    line = "t_esd=" + (_fmt(t_star) if t_star is not None else "none")
+    line = "t_esd=" + (_FMT % t_star if t_star is not None else "none")
     print(line)
     if config.output is not None:
         out_path = Path(config.output)

@@ -26,14 +26,14 @@ Every measure reads only the four block determinants det A, det B, det C
 and det sigma, held as exact integers over a power-of-two denominator in
 ``_ExactInvariants``.  A CovarianceMatrix computes them from its (dyadic)
 float entries; a sweep cell forms them as exact products of its evolved
-quadrature entries (dynamics._evolved_invariants) and passes them to the
-measures in place of a matrix.  Each invariant reaches floating point
-through one correctly rounded division.  The physically interesting states
-here sit on or near the degenerate manifold Delta^2 = 4 det sigma
-(symmetric states, pure states, equal-frequency evolution), where plain
-double arithmetic loses half its digits through sqrt of a
-cancellation-noise discriminant; exact invariants keep the eigenvalues
-accurate to machine precision there.
+quadrature entries (dynamics._evolved_invariants).  Each measure is a
+private float rule on those integers, wrapped by its public function; a
+sweep cell calls the rules directly (``_measures``).  Each invariant
+reaches floating point through one correctly rounded division.  The
+physically interesting states sit on or near the degenerate manifold
+Delta^2 = 4 det sigma (symmetric, pure, equal-frequency states), where
+plain doubles lose half their digits through sqrt of a cancellation-noise
+discriminant; exact invariants keep the eigenvalues accurate there.
 """
 
 from __future__ import annotations
@@ -211,12 +211,7 @@ def _minors(u: list, v: list) -> tuple:
     )
 
 
-def _to_float(num: int, den: int) -> float:
-    """num / den, correctly rounded (Python's int / int); DomainError on overflow."""
-    try:
-        return num / den
-    except OverflowError as exc:
-        raise DomainError("an exact invariant lies outside the double range") from exc
+_OUT_OF_RANGE = "an exact invariant lies outside the double range"
 
 
 @dataclass(frozen=True)
@@ -225,13 +220,12 @@ class _ExactInvariants:
 
     An invariant of degree d in the entries is its integer over den**d
     (det A, det B and det C over den**2, det sigma over den**4), rounded
-    once, correctly, by _to_float.  The partial transpose of sigma has the
-    same invariants with det C -> -det C.  positive_definite is Sylvester's
-    criterion on the exact leading principal minors.
+    once, correctly, by Python's int / int.  The partial transpose of sigma
+    has the same invariants with det C -> -det C.  positive_definite is
+    Sylvester's criterion on the exact leading principal minors.
 
     These are all that the measures read: each takes a CovarianceMatrix or
-    its _ExactInvariants (``_invariants`` is the instance itself), and the
-    symplectic spectrum is computed on first use and kept here.
+    its _ExactInvariants (``_invariants`` is the instance itself).
     """
 
     den: int
@@ -244,12 +238,6 @@ class _ExactInvariants:
     @property
     def _invariants(self) -> _ExactInvariants:
         return self
-
-    @cached_property
-    def _spectrum(self) -> SymplecticSpectrum:
-        pair = _squared_spectrum(self.det_a, self.det_b, self.det_c, self.det_sigma, self.den)
-        nu_minus, nu_plus = sorted(math.sqrt(nu2) for nu2 in pair)
-        return SymplecticSpectrum(nu_minus=nu_minus, nu_plus=nu_plus)
 
 
 # What every measure takes: a covariance matrix, or the exact invariants of one.
@@ -287,28 +275,33 @@ def separability_threshold_r(n1: float, n2: float) -> float:
     return math.acosh(math.sqrt(max(ratio, 1.0)))
 
 
+def _den_powers(inv: _ExactInvariants) -> tuple[int, int]:
+    """(den**2, den**4): the denominators of the block determinants and of det sigma."""
+    return inv.den**2, inv.den**4
+
+
 def _squared_spectrum(
-    det_a: int, det_b: int, det_c: int, det_sigma: int, den: int
+    det_a: int, det_b: int, det_c: int, det_sigma: int, den2: int, den4: int
 ) -> tuple[float, float]:
     """Squared symplectic eigenvalues (nu_minus^2, nu_plus^2) from exact invariants.
 
-    The invariants are integers over den**2 (det A, det B, det C) and den**4
-    (det sigma).  With Delta = det A + det B + 2 det C, the squared
-    eigenvalues are nu_mp^2 = (Delta -+ sqrt(Delta^2 - 4 det sigma)) / 2.
+    The invariants are integers over den2 = den**2 (det A, det B, det C) and
+    den4 = den**4 (det sigma).  With Delta = det A + det B + 2 det C, the
+    squared eigenvalues are nu_mp^2 = (Delta -+ sqrt(Delta^2 - 4 det sigma)) / 2.
     The discriminant is computed exactly over the integers (it vanishes
     identically for symmetric equal-frequency states, where naive float
     evaluation turns rounding noise into sqrt-amplified eigenvalue errors),
     and the smaller value uses the subtraction-free form
-    2 det sigma / (Delta + root).  Where the discriminant vanishes or is
-    clamped, rounding can leave the pair misordered by an ulp.  Radicands
-    negative within tolerance clamp to zero; strongly negative ones mark an
-    invalid covariance matrix.
+    2 det sigma / (Delta + root).  Radicands negative within tolerance clamp
+    to zero; strongly negative ones mark an invalid covariance matrix.
     """
     delta_num = det_a + det_b + 2 * det_c
-    den4 = den**4
-    big_delta = _to_float(delta_num, den * den)
-    dets = _to_float(det_sigma, den4)
-    disc = _to_float(delta_num * delta_num - 4 * det_sigma, den4)
+    try:
+        big_delta = delta_num / den2
+        dets = det_sigma / den4
+        disc = (delta_num * delta_num - 4 * det_sigma) / den4
+    except OverflowError as exc:
+        raise DomainError(_OUT_OF_RANGE) from exc
     if disc < -PHYSICALITY_TOL * max(1.0, big_delta * big_delta):
         raise NonPhysical(
             f"symplectic invariant discriminant {disc:.3e} is negative beyond tolerance"
@@ -321,15 +314,30 @@ def _squared_spectrum(
     return max(2.0 * dets, 0.0) / (big_delta + root), 0.5 * (big_delta + root)
 
 
+def _spectrum_pair(inv: _ExactInvariants, den2: int, den4: int) -> tuple[float, float]:
+    """(nu_minus, nu_plus): the square roots of _squared_spectrum, which rounding can
+    misorder by an ulp where the discriminant vanishes or is clamped."""
+    squares = _squared_spectrum(inv.det_a, inv.det_b, inv.det_c, inv.det_sigma, den2, den4)
+    nu_minus, nu_plus = math.sqrt(squares[0]), math.sqrt(squares[1])
+    return (nu_plus, nu_minus) if nu_plus < nu_minus else (nu_minus, nu_plus)
+
+
 def symplectic_spectrum(state: _State) -> SymplecticSpectrum:
     """Symplectic eigenvalues of sigma: the square roots of _squared_spectrum.
 
     Each invariant reaches floating point through one correctly rounded
     division of exact integers; DomainError if one leaves the double range.
     ppt_g applies the same rule to the partial transpose, det C -> -det C.
-    The spectrum is computed once per state and kept on its invariants.
     """
-    return state._invariants._spectrum
+    inv = state._invariants
+    return SymplecticSpectrum(*_spectrum_pair(inv, *_den_powers(inv)))
+
+
+def _ppt_g(inv: _ExactInvariants, den2: int, den4: int) -> float:
+    g, _ = _squared_spectrum(inv.det_a, inv.det_b, -inv.det_c, inv.det_sigma, den2, den4)
+    if g <= 0.0:
+        raise NonPhysical(f"non-positive partial-transpose invariant g={g:.3e}")
+    return g
 
 
 def ppt_g(state: _State) -> float:
@@ -341,10 +349,11 @@ def ppt_g(state: _State) -> float:
     correctly.  The state is entangled exactly when 4 g < 1.
     """
     inv = state._invariants
-    g, _ = _squared_spectrum(inv.det_a, inv.det_b, -inv.det_c, inv.det_sigma, inv.den)
-    if g <= 0.0:
-        raise NonPhysical(f"non-positive partial-transpose invariant g={g:.3e}")
-    return g
+    return _ppt_g(inv, *_den_powers(inv))
+
+
+def _negativity(g: float) -> float:
+    return max(0.0, -0.5 * math.log2(4.0 * g))
 
 
 def log_negativity(state: _State) -> float:
@@ -352,12 +361,11 @@ def log_negativity(state: _State) -> float:
 
     Strictly positive exactly for entangled states (4 g < 1).
     """
-    g = ppt_g(state)
-    return max(0.0, -0.5 * math.log2(4.0 * g))
+    return _negativity(ppt_g(state))
 
 
-def _bona_fide_spectrum(inv: _ExactInvariants) -> SymplecticSpectrum:
-    """Symplectic spectrum of a bona fide state; raises NonPhysical otherwise.
+def _bona_fide(inv: _ExactInvariants, den2: int, den4: int) -> tuple[float, float]:
+    """(nu_minus, nu_plus) of a bona fide state; raises NonPhysical otherwise.
 
     This is the one physicality check; gaussian_discord raises on it.
 
@@ -367,10 +375,10 @@ def _bona_fide_spectrum(inv: _ExactInvariants) -> SymplecticSpectrum:
     """
     if not inv.positive_definite:
         raise NonPhysical("covariance matrix is not positive definite")
-    spectrum = symplectic_spectrum(inv)
-    if 2.0 * spectrum.nu_minus < 1.0 - PHYSICALITY_TOL:
-        raise NonPhysical(f"2 nu_minus = {2.0 * spectrum.nu_minus:.6g} is below 1 beyond tolerance")
-    return spectrum
+    nu_minus, nu_plus = _spectrum_pair(inv, den2, den4)
+    if 2.0 * nu_minus < 1.0 - PHYSICALITY_TOL:
+        raise NonPhysical(f"2 nu_minus = {2.0 * nu_minus:.6g} is below 1 beyond tolerance")
+    return nu_minus, nu_plus
 
 
 def f_entropy(x: float) -> float:
@@ -395,6 +403,57 @@ def _clamped_sqrt(value: float, what: str, scale: float = 1.0) -> float:
     return math.sqrt(max(value, 0.0))
 
 
+def _conditional(inv: _ExactInvariants, measured_mode: MeasuredMode, den2: int) -> tuple:
+    """The fields (alpha, beta, gamma, delta, epsilon, branch) of discord_invariants."""
+    a_num, b_num = inv.det_a, inv.det_b
+    if measured_mode is MeasuredMode.MODE1:
+        a_num, b_num = b_num, a_num
+    c_num, s_num = inv.det_c, inv.det_sigma
+    # 4 det A = a_num / one with one = den**2 / 4, and 16 det sigma = s_num / one**2
+    one = den2 // 4
+    try:
+        alpha, beta, gamma = a_num / one, b_num / one, c_num / one
+        delta = s_num / (one * one)
+        c2_num = c_num * c_num
+        lead_num = (s_num - a_num * b_num) ** 2
+        # (delta - alpha beta)^2 <= (beta + 1) gamma^2 (alpha + delta), cleared
+        # of the common denominators
+        if lead_num * one <= c2_num * (b_num + one) * (a_num * one + s_num):
+            if abs(beta - 1.0) < _PURE_MODE_TOL:
+                # Measured mode is pure; it cannot carry cross-correlations.
+                if abs(gamma) < _PURE_MODE_TOL:
+                    epsilon = alpha
+                else:
+                    raise NonPhysical(
+                        f"pure measured mode (beta={beta!r}) with nonzero gamma={gamma!r}"
+                    )
+            else:
+                # gamma^2 + (beta - 1)(delta - alpha), numerator over one**3
+                cross_num = (b_num - one) * (s_num - a_num * one)
+                root = _clamped_sqrt(
+                    (c2_num * one + cross_num) / one**3,
+                    "conditional-branch radicand",
+                    scale=gamma * gamma + abs(cross_num / one**3),
+                )
+                numerator = (2 * c2_num * one + cross_num) / one**3 + 2.0 * abs(gamma) * root
+                epsilon = numerator / ((b_num - one) ** 2 / (one * one))
+            branch = Branch.ONE
+        else:
+            # gamma^4 + (delta - alpha beta)^2 - 2 gamma^2 (delta + alpha beta),
+            # numerator over one**4
+            mix_num = 2 * c2_num * (s_num + a_num * b_num)
+            root = _clamped_sqrt(
+                (c2_num * c2_num + lead_num - mix_num) / one**4,
+                "conditional-branch radicand",
+                scale=(c2_num * c2_num + lead_num + abs(mix_num)) / one**4,
+            )
+            epsilon = ((a_num * b_num - c2_num + s_num) / (one * one) - root) / (2.0 * beta)
+            branch = Branch.TWO
+    except OverflowError as exc:
+        raise DomainError(_OUT_OF_RANGE) from exc
+    return alpha, beta, gamma, delta, epsilon, branch
+
+
 def discord_invariants(
     state: _State, measured_mode: MeasuredMode = MeasuredMode.MODE2
 ) -> DiscordInvariants:
@@ -411,57 +470,22 @@ def discord_invariants(
     in exact rational arithmetic, so ties (pure states sit exactly on the
     boundary) deterministically take the first branch.
     """
-    inv = state._invariants
-    a_num, b_num = inv.det_a, inv.det_b
-    if measured_mode is MeasuredMode.MODE1:
-        a_num, b_num = b_num, a_num
-    c_num, s_num = inv.det_c, inv.det_sigma
-    # 4 det A = a_num / one with one = den**2 / 4, and 16 det sigma = s_num / one**2
-    one = inv.den * inv.den // 4
-    alpha, beta, gamma = (_to_float(x, one) for x in (a_num, b_num, c_num))
-    delta = _to_float(s_num, one * one)
-    c2_num = c_num * c_num
-    lead_num = (s_num - a_num * b_num) ** 2
-
-    # (delta - alpha beta)^2 <= (beta + 1) gamma^2 (alpha + delta), cleared
-    # of the common denominators
-    if lead_num * one <= c2_num * (b_num + one) * (a_num * one + s_num):
-        if abs(beta - 1.0) < _PURE_MODE_TOL:
-            # Measured mode is pure; it cannot carry cross-correlations.
-            if abs(gamma) < _PURE_MODE_TOL:
-                epsilon = alpha
-            else:
-                raise NonPhysical(
-                    f"pure measured mode (beta={beta!r}) with nonzero gamma={gamma!r}"
-                )
-        else:
-            # gamma^2 + (beta - 1)(delta - alpha), numerator over one**3
-            cross_num = (b_num - one) * (s_num - a_num * one)
-            root = _clamped_sqrt(
-                _to_float(c2_num * one + cross_num, one**3),
-                "conditional-branch radicand",
-                scale=gamma * gamma + abs(_to_float(cross_num, one**3)),
-            )
-            numerator = _to_float(2 * c2_num * one + cross_num, one**3) + 2.0 * abs(gamma) * root
-            epsilon = numerator / _to_float((b_num - one) ** 2, one * one)
-        branch = Branch.ONE
-    else:
-        # gamma^4 + (delta - alpha beta)^2 - 2 gamma^2 (delta + alpha beta),
-        # numerator over one**4
-        mix_num = 2 * c2_num * (s_num + a_num * b_num)
-        root = _clamped_sqrt(
-            _to_float(c2_num * c2_num + lead_num - mix_num, one**4),
-            "conditional-branch radicand",
-            scale=_to_float(c2_num * c2_num + lead_num + abs(mix_num), one**4),
-        )
-        epsilon = (_to_float(a_num * b_num - c2_num + s_num, one * one) - root) / (2.0 * beta)
-        branch = Branch.TWO
-
+    values = _conditional(state._invariants, measured_mode, _den_powers(state._invariants)[0])
     msg = "conditional invariant branch %s (alpha=%g beta=%g gamma=%g delta=%g)"
-    _log.debug(msg, branch.name, alpha, beta, gamma, delta)
-    return DiscordInvariants(
-        alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, branch=branch
+    _log.debug(msg, values[5].name, *values[:4])
+    return DiscordInvariants(*values)
+
+
+def _discord(beta: float, epsilon: float, nu_minus: float, nu_plus: float) -> float:
+    d = (
+        f_entropy(_clamped_sqrt(beta, "local invariant beta"))
+        - f_entropy(2.0 * nu_minus)
+        - f_entropy(2.0 * nu_plus)
+        + f_entropy(_clamped_sqrt(epsilon, "conditional invariant epsilon"))
     )
+    if d < -PHYSICALITY_TOL:
+        raise NonPhysical(f"discord {d:.3e} is negative beyond tolerance")
+    return max(0.0, d)
 
 
 def gaussian_discord(
@@ -484,14 +508,17 @@ def gaussian_discord(
     DomainError
         If an entropy argument falls below its domain beyond tolerance.
     """
-    spectrum = _bona_fide_spectrum(state._invariants)
-    inv = discord_invariants(state, measured_mode)
-    d = (
-        f_entropy(_clamped_sqrt(inv.beta, "local invariant beta"))
-        - f_entropy(2.0 * spectrum.nu_minus)
-        - f_entropy(2.0 * spectrum.nu_plus)
-        + f_entropy(_clamped_sqrt(inv.epsilon, "conditional invariant epsilon"))
-    )
-    if d < -PHYSICALITY_TOL:
-        raise NonPhysical(f"discord {d:.3e} is negative beyond tolerance")
-    return max(0.0, d)
+    nu_minus, nu_plus = _bona_fide(state._invariants, *_den_powers(state._invariants))
+    conditional = discord_invariants(state, measured_mode)
+    return _discord(conditional.beta, conditional.epsilon, nu_minus, nu_plus)
+
+
+def _measures(inv: _ExactInvariants, measured_mode: MeasuredMode) -> tuple[float, float, float]:
+    """(E_N, D, nu_minus) of one sweep cell: the values and the order of checks of
+    log_negativity, gaussian_discord and symplectic_spectrum(...).nu_minus, from
+    the same private rules, with den**2 and den**4 formed once and no result objects."""
+    den2, den4 = _den_powers(inv)
+    e_n = _negativity(_ppt_g(inv, den2, den4))
+    nu_minus, nu_plus = _bona_fide(inv, den2, den4)
+    _, beta, _, _, epsilon, _ = _conditional(inv, measured_mode, den2)
+    return e_n, _discord(beta, epsilon, nu_minus, nu_plus), nu_minus

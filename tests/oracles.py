@@ -33,7 +33,7 @@ import numpy as np
 
 from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, propagator
 from gaussbath.errors import InvalidParams, NonPhysical
-from gaussbath.states import CovarianceMatrix, Mat4, MeasuredMode, _bona_fide_spectrum
+from gaussbath.states import CovarianceMatrix, Mat4, MeasuredMode, _bona_fide, _den_powers
 
 # Scaling-and-squaring parameters: halve until the 1-norm is at or below
 # _SQUARING_THRESHOLD, then evaluate a Taylor polynomial of this order.
@@ -302,7 +302,7 @@ def is_physical(state: CovarianceMatrix) -> bool:
     the check gaussian_discord raises on, returned as a flag.
     """
     try:
-        _bona_fide_spectrum(state._invariants)
+        _bona_fide(state._invariants, *_den_powers(state._invariants))
     except NonPhysical:
         return False
     return True

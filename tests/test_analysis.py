@@ -185,10 +185,11 @@ def test_sweep_single_cell_at_origin():
 
 
 def test_sweep_failure_names_time_and_temperature(monkeypatch, tmp_path, capsys):
-    def broken_discord(state, measured_mode):
+    def broken_discord(beta, epsilon, nu_minus, nu_plus):
         raise NonPhysical("radicand negative")
 
-    monkeypatch.setattr(analysis, "gaussian_discord", broken_discord)
+    # the discord rule that gaussian_discord and each sweep cell call
+    monkeypatch.setattr(states, "_discord", broken_discord)
     with pytest.raises(NonPhysical, match=r"^at t=0\.5, T=1\.5: radicand negative$"):
         sweep(FIG_STATE, fig_env(0.0), [0.5, 1.0], [1.5, 2.0])
     # evolve is the same loop over its one temperature
@@ -259,18 +260,19 @@ def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
     # the Gibbs state and the kernel's exact entries depend on the temperature
     # only; each cell's spectrum is computed once, for the discord's bona fide
     # check, and its nu_minus column reads the same value: one
-    # _squared_spectrum call for it and one for the partial transpose
+    # _squared_spectrum call for it and one for the partial transpose.  A cell
+    # calls the private rules, so it builds no DiscordInvariants
     builds = _count_calls(monkeypatch, analysis, "_evolved_invariants")
     gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
-    spectra = _count_calls(monkeypatch, states, "symplectic_spectrum")
+    spectra = _count_calls(monkeypatch, states, "_spectrum_pair")
     squared = _count_calls(monkeypatch, states, "_squared_spectrum")
+    conditionals = _count_calls(monkeypatch, states, "DiscordInvariants")
     sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
     assert len(builds) == 3
     assert len(gibbs) <= 3
     assert len(spectra) == 5 * 3
-    # the t = 0 cells of every temperature read s0's invariants, whose
-    # spectrum is kept on them after the first
-    assert len(squared) == 2 * 5 * 3 - 2
+    assert len(squared) == 2 * 5 * 3
+    assert not conditionals
 
     squared.clear()
     assert cli.main(["evolve", "--points", "5", "--output", str(tmp_path / "out.csv")]) == 0

@@ -183,14 +183,11 @@ def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys
 )
 def test_huge_squeezing_fails_with_one_error_line(argv, code, tmp_path, capsys):
     # at r = 400 the entries overflow (exit 2); at r = 355 they are finite,
-    # near 1.7e308, and an invariant overflows (exit 1), named at its cell on
-    # the table path
+    # near 1.7e308, and an invariant overflows (exit 1), named at its cell
     assert main(argv + ["--output", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert err.startswith("error: " if code == 2 else "numerical failure: at t=0, T=1: ")
     assert err.count("\n") == 1
-    if argv[0] == "evolve" and code == 1:
-        assert err.startswith("numerical failure: at t=0, T=1: ")
 
 
 def test_huge_temperature_sweep_has_no_cancellation(tmp_path, capsys):

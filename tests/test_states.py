@@ -1,16 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from oracles import det4, is_physical, mp_measures
 
-from gaussbath.dynamics import EnvironmentParams, evolution
-from gaussbath.errors import DomainError, InvalidParams, NonPhysical
+from gaussbath.dynamics import EnvironmentParams, _evolved_invariants, evolution
+from gaussbath.errors import DomainError, GaussBathError, InvalidParams, NonPhysical
 from gaussbath.states import (
     Branch,
     CovarianceMatrix,
     MeasuredMode,
     SqueezedThermalParams,
+    _ExactInvariants,
+    _measures,
     build_squeezed_thermal,
     discord_invariants,
     f_entropy,
@@ -524,3 +527,65 @@ def test_invariant_outside_double_range_is_domain_error(measure):
     # det sigma = 1e400 has no double; the conversion names the failure
     with pytest.raises(DomainError):
         measure(CovarianceMatrix(1e100 * np.eye(4)))
+
+
+# ---------------------------------------------------------------- sweep cell kernel
+
+
+def _public_measures(inv, mode):
+    """A sweep cell through the public measures, in the order the sweep reports them."""
+    return log_negativity(inv), gaussian_discord(inv, mode), symplectic_spectrum(inv).nu_minus
+
+
+def _outcome(measures, inv, mode):
+    try:
+        return [value.hex() for value in measures(inv, mode)]
+    except GaussBathError as exc:
+        return type(exc), str(exc)
+
+
+def test_cell_kernel_equals_public_measures():
+    # bit for bit on seeded draws with separable and entangled states, unequal
+    # frequencies and m != 1, lam = 0 and T = 0 among them, and cells where
+    # x = e^{-2 lam t} is 1 (t = 0 or lam = 0: the initial state's invariants)
+    rng = random.Random(23)
+    seen, ones = set(), 0
+    for draw in range(300):
+        state = SqueezedThermalParams(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 3))
+        p = EnvironmentParams(
+            lam=0.0 if draw % 10 == 0 else rng.uniform(0.0, 0.3),
+            m=rng.uniform(0.5, 2.0),
+            omega1=rng.uniform(0.5, 2.0),
+            omega2=rng.uniform(0.5, 2.0),
+            temperature=0.0 if draw % 7 == 0 else rng.uniform(0.0, 4.0),
+        )
+        t = 0.0 if draw % 5 == 0 else rng.uniform(0.0, 30.0)
+        s0 = build_squeezed_thermal(state)
+        inv = _evolved_invariants(state, s0, p)(t)
+        ones += inv is s0._invariants
+        for mode in MeasuredMode:
+            want = _outcome(_public_measures, inv, mode)
+            assert _outcome(_measures, inv, mode) == want, (draw, mode)
+            seen.add((discord_invariants(inv, mode).branch, mode))
+    assert seen == {(branch, mode) for branch in Branch for mode in MeasuredMode}
+    assert ones >= 60
+
+
+@pytest.mark.parametrize(
+    "inv, error, message",
+    [
+        (_ExactInvariants(2, 4, 4, 2, 4, False), NonPhysical, "not positive definite"),
+        (_ExactInvariants(2, 4, 4, 0, 0, True), NonPhysical, "partial-transpose invariant g="),
+        (_ExactInvariants(4, 1, 1, 0, 1, True), NonPhysical, "2 nu_minus = 0.5 is below 1"),
+        (_ExactInvariants(2, 3, 1, -1, 1, True), NonPhysical, "pure measured mode"),
+        (_ExactInvariants(2, 4, 4, 0, 10**400, True), DomainError, "outside the double range"),
+    ],
+    ids=["not-positive-definite", "g-zero", "below-vacuum", "pure-mode-gamma", "overflow"],
+)
+def test_cell_kernel_fails_as_public_measures(inv, error, message):
+    # the same error type and message, from the same first failing check
+    with pytest.raises(error, match=message):
+        _measures(inv, MeasuredMode.MODE2)
+    assert _outcome(_measures, inv, MeasuredMode.MODE2) == _outcome(
+        _public_measures, inv, MeasuredMode.MODE2
+    )
