@@ -10,12 +10,14 @@ initial state and of the bath, and a failing cell is named as
 
 The measures read only the block determinants det A, det B, det C and
 det sigma.  ``sweep`` takes the exact entries of the initial and the Gibbs
-state once per bath temperature; each cell forms the four invariants as
-exact products of its evolved quadrature entries and hands the integers to
-the private measure rules of ``states`` (``_measures``), so a cell forms no
-sigma(t) and no result object but its row.  ``sudden_death_time`` scans
-sigma(t) from one ``evolution`` per search.  Every grid cell is an independent pure
-computation, so tables come out identical regardless of evaluation order.
+state from the parameters once per bath temperature; each cell forms the
+four invariants as exact products of its evolved quadrature entries and
+hands the integers to the private measure rules of ``states``
+(``_measures``), so a sweep builds no matrix, loads no numpy and forms no
+result object but its rows.  ``sudden_death_time`` scans sigma(t) from one
+``evolution`` per search, on 4x4 numpy matrices.  Every grid cell is an
+independent pure computation, so tables come out identical regardless of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -148,10 +150,9 @@ def sweep(
     """
     times = _check_grid(t_grid, "t_grid")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
-    s0 = build_squeezed_thermal(state)  # one for all temperatures
     rows = []
     for temperature in temperatures:
-        invariants_at = _evolved_invariants(state, s0, replace(env_base, temperature=temperature))
+        invariants_at = _evolved_invariants(state, replace(env_base, temperature=temperature))
         for t in times:
             try:
                 e_n, discord, nu_minus = _measures(invariants_at(t), measured_mode)

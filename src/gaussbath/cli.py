@@ -29,8 +29,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .analysis import sudden_death_time, sweep
 from .dynamics import EnvironmentParams
 from .errors import GaussBathError, InvalidParams
@@ -254,18 +252,28 @@ def _write_table(
     _write_lines(out_path, [json.dumps(payload, indent=2)])
 
 
+def _linspace(stop: float, num: int) -> list[float]:
+    """numpy.linspace(0.0, stop, num) bit for bit, for finite stop >= 0 and num >= 1:
+    i * step, or (i / div) * stop where the step underflows to 0, and stop last."""
+    div = num - 1
+    if div == 0:
+        return [0.0]
+    step = stop / div
+    return [i * step if step else i / div * stop for i in range(div)] + [stop]
+
+
 def _run_table(config: RunConfig, out_path: Path) -> None:
     """evolve and sweep: a sweep, over the single temperature --temperature for evolve.
 
     columns maps each printed header to its SweepRow field.
     """
     if config.command == "sweep":
-        temperature_grid = np.linspace(0.0, config.temp_max, config.temp_points)
+        temperature_grid = _linspace(config.temp_max, config.temp_points)
         columns = {"t": "t", "T": "temperature", "E_N": "e_n", "discord": "discord"}
     else:
         temperature_grid = [config.env.temperature]
         columns = {"t": "t", "E_N": "e_n", "discord": "discord", "nu_minus": "nu_minus"}
-    t_grid = np.linspace(0.0, config.t_max, config.points)
+    t_grid = _linspace(config.t_max, config.points)
     cells = sweep(config.state, config.env, t_grid, temperature_grid, config.measured_mode)
     _write_table(config, out_path, tuple(columns), map(attrgetter(*columns.values()), cells))
 

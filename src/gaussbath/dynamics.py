@@ -24,22 +24,25 @@ The sweep needs only the invariants of sigma(t).  They are those of
 sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}.  For the
 squeezed thermal initial state that matrix splits into an x-quadrature and
 a p-quadrature 2x2 block, so ``_evolved_invariants`` forms each invariant
-per t as an exact product of five integer entries, with no M(t) and no 4x4
-matrix.  The independent oracles (a fixed-step Runge-Kutta integrator, a
-generic matrix exponential and the closed form in exact rational
-arithmetic) live with the tests.
+per t as an exact product of five integer entries, from the parameters,
+with no M(t), no 4x4 matrix and no numpy; numpy is imported only by the
+constructors of float matrices (``propagator``, ``asymptotic_covariance``).
+The independent oracles (a fixed-step Runge-Kutta integrator, a generic
+matrix exponential and the closed form in exact rational arithmetic) live
+with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidParams
-from .states import CovarianceMatrix, Mat4, SqueezedThermalParams, _ExactInvariants
+from .states import CovarianceMatrix, SqueezedThermalParams, _ExactInvariants
+
+if TYPE_CHECKING:
+    from .states import Mat4
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ def propagator(p: EnvironmentParams, t: float) -> Mat4:
 
     exp(-lam t) [[cos(w t), sin(w t)/(m w)], [-m w sin(w t), cos(w t)]].
     """
+    import numpy as np
+
     m_out = np.zeros((4, 4))
     decay = math.exp(-p.lam * t)
     for k, omega in ((0, p.omega1), (2, p.omega2)):
@@ -124,6 +129,8 @@ def asymptotic_covariance(p: EnvironmentParams) -> CovarianceMatrix:
     The Gibbs state of the two oscillators, exactly diagonal, with the
     entries of p._gibbs_diagonal().
     """
+    import numpy as np
+
     return CovarianceMatrix(np.diag(p._gibbs_diagonal()))
 
 
@@ -149,48 +156,46 @@ def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], C
 
 
 def _evolved_invariants(
-    state: SqueezedThermalParams, s0: CovarianceMatrix, p: EnvironmentParams
+    state: SqueezedThermalParams, p: EnvironmentParams
 ) -> Callable[[float], _ExactInvariants]:
     """The exact invariants of sigma(t), as a function of the time t, without sigma(t).
 
-    s0 is build_squeezed_thermal(state).  Scaling each mode by sqrt(m omega_k)
-    turns M_k(t) into e^{-lam t} times a rotation that commutes with the
-    scaled Gibbs block, so sigma(t) is a local unit-determinant transform of
-    G + x (s0 - G), x = e^{-2 lam t}, with the same det A, det B, det C and
-    det sigma.  In the order (x1, x2 | p1, p2) that matrix is block diagonal,
-    [[A_x, k], [k, B_x]] and [[A_p, -k], [-k, B_p]], with A_x = x a + (1 - x) g1x
-    (likewise A_p, B_x, B_p from a, b and the Gibbs diagonal) and k = x c:
+    sigma(0) is build_squeezed_thermal(state).  Scaling each mode by
+    sqrt(m omega_k) turns M_k(t) into e^{-lam t} times a rotation that
+    commutes with the scaled Gibbs block, so sigma(t) is a local
+    unit-determinant transform of G + x (sigma(0) - G), x = e^{-2 lam t},
+    with the same det A, det B, det C and det sigma.  In the order
+    (x1, x2 | p1, p2) that matrix is block diagonal, [[A_x, k], [k, B_x]] and
+    [[A_p, -k], [-k, B_p]], with A_x = x a + (1 - x) g1x (likewise A_p, B_x,
+    B_p from a, b and the Gibbs diagonal) and k = x c:
 
         det A = A_x A_p,  det B = B_x B_p,  det C = -k^2,
         det sigma = (A_x B_x - k^2)(A_p B_p - k^2).
 
     The seven entries become integers over one power-of-two den here; each t
     forms the products exactly at the double x = xn / xd, over den * xd.
-    positive_definite is s0's verdict, since G + x (s0 - G) is a convex
-    combination of s0 and the Gibbs state.  t must be finite and
-    non-negative; where x is 1 (t = 0, lam = 0, or x rounds to 1), the
-    invariants are s0's own.
+    Where x is 1 (t = 0, lam = 0, or x rounds to 1) they are sigma(0)'s
+    invariants as exact rationals.  positive_definite is sigma(0)'s verdict,
+    since G + x (sigma(0) - G) is a convex combination of sigma(0) and the
+    Gibbs state: its leading minors are a, a^2, a (ab - c^2) and
+    (ab - c^2)^2, so it reads a > 0 and ab > c^2.  t must be finite and
+    non-negative.
     """
     ratios = [v.as_integer_ratio() for v in (*state._entries(), *p._gibbs_diagonal())]
     den = max(2, *(d for _, d in ratios))  # powers of two: each divides the largest
     a, b, c, g1x, g1p, g2x, g2p = (n * (den // d) for n, d in ratios)
-    initial = s0._invariants
+    positive_definite = a > 0 and a * b > c * c
     rate = -2.0 * p.lam
 
     def at(t: float) -> _ExactInvariants:
         if not 0 <= t < math.inf:
             raise InvalidParams(f"time must be finite and non-negative, got {t}")
-        x = math.exp(rate * t)
-        if x == 1.0:
-            return initial
-        xn, xd = x.as_integer_ratio()
+        xn, xd = math.exp(rate * t).as_integer_ratio()
         y = xd - xn
         a_x, a_p = xn * a + y * g1x, xn * a + y * g1p
         b_x, b_p = xn * b + y * g2x, xn * b + y * g2p
         k2 = (xn * c) ** 2
         det_sigma = (a_x * b_x - k2) * (a_p * b_p - k2)
-        return _ExactInvariants(
-            den * xd, a_x * a_p, b_x * b_p, -k2, det_sigma, initial.positive_definite
-        )
+        return _ExactInvariants(den * xd, a_x * a_p, b_x * b_p, -k2, det_sigma, positive_definite)
 
     return at

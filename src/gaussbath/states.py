@@ -43,15 +43,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, InvalidParams, NonPhysical
 
-# 4x4 real matrices are represented as plain float64 arrays.
-Mat4 = NDArray[np.float64]
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
+
+    # 4x4 real matrices are plain float64 arrays.  numpy is imported only where
+    # one is built (CovarianceMatrix, build_squeezed_thermal and the dynamics'
+    # propagator and stationary state), so the sweep loads no numpy.
+    Mat4 = NDArray[np.float64]
 
 _log = logging.getLogger(__name__)
 
@@ -90,6 +93,8 @@ class CovarianceMatrix:
     sigma: Mat4
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.array(self.sigma, dtype=float)
         if arr.shape != (4, 4):
             raise InvalidParams(f"covariance matrix must be 4x4, got shape {arr.shape}")
@@ -251,6 +256,8 @@ def build_squeezed_thermal(params: SqueezedThermalParams) -> CovarianceMatrix:
     C = diag(c, -c), with (a, b, c) = params._entries().  At
     n1 = n2 = r = 0 this is the two-mode vacuum diag(1/2, ..., 1/2).
     """
+    import numpy as np
+
     a, b, c = params._entries()
     sigma = np.array(
         [
@@ -441,6 +448,8 @@ def _conditional(inv: _ExactInvariants, measured_mode: MeasuredMode, den2: int) 
         else:
             # gamma^4 + (delta - alpha beta)^2 - 2 gamma^2 (delta + alpha beta),
             # numerator over one**4
+            if beta <= 0.0:  # epsilon's denominator; positive on every bona fide state
+                raise NonPhysical(f"measured-mode invariant beta={beta!r} is not positive")
             mix_num = 2 * c2_num * (s_num + a_num * b_num)
             root = _clamped_sqrt(
                 (c2_num * c2_num + lead_num - mix_num) / one**4,

@@ -16,8 +16,8 @@ None of this is used by the package itself:
   entries with rational determinants and 60-digit ``mpmath`` arithmetic,
   as an oracle for the whole static-measure path;
 * ``mp_param_measures`` computes them from the parameters of the evolved
-  squeezed thermal state at 50 digits, with no rounded entry at all, as an
-  accuracy reference for the sweep;
+  squeezed thermal state at 50 digits (or ``dps``), with no rounded entry
+  at all, as an accuracy reference for the sweep;
 * ``is_physical`` reads the package's bona fide check, the one
   ``gaussian_discord`` raises on, as a flag.
 """
@@ -30,10 +30,13 @@ from itertools import permutations
 from typing import Any
 
 import numpy as np
+from numpy.typing import NDArray
 
 from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, propagator
 from gaussbath.errors import InvalidParams, NonPhysical
-from gaussbath.states import CovarianceMatrix, Mat4, MeasuredMode, _bona_fide, _den_powers
+from gaussbath.states import CovarianceMatrix, MeasuredMode, _bona_fide, _den_powers
+
+Mat4 = NDArray[np.float64]
 
 # Scaling-and-squaring parameters: halve until the 1-norm is at or below
 # _SQUARING_THRESHOLD, then evaluate a Taylor polynomial of this order.
@@ -207,7 +210,8 @@ def _mp_measures(
     def squared_pair(dc: Any) -> tuple[Any, Any]:
         big_delta = det_a + det_b + 2 * dc
         root = mpmath.sqrt(max(big_delta * big_delta - 4 * det_s, 0))
-        return (big_delta - root) / 2, (big_delta + root) / 2
+        # the smaller root without the cancellation of (Delta - root) / 2
+        return 2 * det_s / (big_delta + root), (big_delta + root) / 2
 
     def f(x: Any) -> Any:
         if x <= 1:
@@ -267,8 +271,9 @@ def mp_param_measures(
     temperature: float,
     t: float,
     measured_mode: MeasuredMode = MeasuredMode.MODE2,
+    dps: int = 50,
 ) -> tuple[float, float, float]:
-    """(E_N, D, nu_minus) of the evolved squeezed thermal state at 50 digits, from the parameters.
+    """(E_N, D, nu_minus) of the evolved squeezed thermal state at dps digits, from the parameters.
 
     No matrix entry is rounded to a double.  With x = e^{-2 lam t}, the
     evolved invariants are those of x sigma0 + (1 - x) G, where G is the
@@ -278,7 +283,7 @@ def mp_param_measures(
     """
     import mpmath
 
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         n1, n2, r, m, lam, temperature, t = map(mpmath.mpf, (n1, n2, r, m, lam, temperature, t))
         ch2, sh2 = mpmath.cosh(r) ** 2, mpmath.sinh(r) ** 2
         a = n1 * ch2 + n2 * sh2 + mpmath.cosh(2 * r) / 2

@@ -328,3 +328,14 @@ def test_sweep_matches_parameter_side_reference(state, env, mode):
         got = (row.e_n, row.discord, row.nu_minus)
         worst = [max(w, abs(g - e)) for w, g, e in zip(worst, got, want)]
     assert max(worst) <= 5e-13, f"largest error in E_N, D, nu_minus: {worst}"
+
+
+def test_parameter_side_reference_keeps_its_digits_at_large_squeezing():
+    # at r = 12 the squared eigenvalues differ by ~20 orders of magnitude; the
+    # reference takes the smaller as 2 det / (Delta + root), so its 50-digit
+    # values equal a 120-digit run
+    pytest.importorskip("mpmath")
+    params = (1.0, 0.5, 12.0, 1.3, 0.8, 1.6, 0.1, 0.0, 0.0)
+    got, want = mp_param_measures(*params), mp_param_measures(*params, dps=120)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-15, abs=0.0)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaussbath.cli import main, parse_config
+import gaussbath
+from gaussbath.cli import _linspace, main, parse_config
 from gaussbath.states import MeasuredMode
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
@@ -360,3 +365,51 @@ def test_default_outputs_match_digests(tmp_path, capsys):
             mismatched.append(out.name)
     capsys.readouterr()
     assert mismatched == []
+
+
+# a fresh interpreter: parse, sweep and evolve, then report whether numpy was
+# loaded, then run esd, which builds 4x4 matrices
+_NO_NUMPY_RUN = """
+import sys
+from gaussbath.cli import main, parse_config
+parse_config(["sweep"])
+assert main(["sweep", "--points", "5", "--temp-points", "3", "--output", "s.csv"]) == 0
+assert main(["evolve", "--points", "5", "--format", "json", "--output", "e.json"]) == 0
+print("numpy" in sys.modules)
+assert main(["esd"]) == 0
+"""
+
+
+def test_sweep_and_evolve_load_no_numpy(tmp_path):
+    src = str(Path(gaussbath.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RUN],
+        cwd=tmp_path,
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[2] == "False"
+    assert lines[3] + "\n" == (GOLDEN / "esd.txt").read_text()
+
+
+def _grid_cases():
+    stops = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1.0, 4.0, 20.0]
+    stops += [1e300, 1.7976931348623157e308]
+    rng = random.Random(26)
+    stops += [rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-320, 307) for _ in range(60)]
+    nums = [1, 2, 3, 7, 40, 200, 1001]
+    return [(stop, num) for stop in stops for num in nums]
+
+
+def test_grid_rule_is_numpy_linspace_bit_for_bit():
+    # the CLI's t and T grids, against numpy.linspace(0, stop, num) by float.hex:
+    # a single point, stop = 0, subnormal steps that underflow to 0, the
+    # largest double, where numpy's own last i * step overflows before stop replaces it
+    for stop, num in _grid_cases():
+        with np.errstate(over="ignore"):
+            want = [v.hex() for v in np.linspace(0.0, stop, num).tolist()]
+        assert [v.hex() for v in _linspace(stop, num)] == want, (stop, num)

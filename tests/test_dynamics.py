@@ -331,12 +331,19 @@ def test_evolved_invariants_match_closed_form():
     # of x and of each invariant
     for draw, (state, p, t) in enumerate(box_draws(19, 120)):
         s0 = build_squeezed_thermal(state)
-        got = _evolved_invariants(state, s0, p)(t)
+        got = _evolved_invariants(state, p)(t)
         den2 = got.den * got.den
         floats = (got.det_a / den2, got.det_b / den2, got.det_c / den2, got.det_sigma / den2**2)
         for g, w in zip(floats, exact_invariants(s0, p, t)):
             assert g == pytest.approx(float(w), rel=1e-11, abs=0.0), (draw, p, t)
         assert got.positive_definite == evolution(s0, p)(t)._invariants.positive_definite
+
+
+def _as_fractions(inv):
+    """(det A, det B, det C, det sigma) as fractions, and the positive-definite verdict."""
+    den2 = inv.den * inv.den
+    dets = (inv.det_a, den2), (inv.det_b, den2), (inv.det_c, den2), (inv.det_sigma, den2**2)
+    return tuple(Fraction(num, den) for num, den in dets), inv.positive_definite
 
 
 def test_evolved_invariants_are_exact_block_determinants():
@@ -345,33 +352,32 @@ def test_evolved_invariants_are_exact_block_determinants():
     # double entries of s0 and of the Gibbs state G, at the same double x
     for state, p, t in box_draws(21, 150):
         s0 = build_squeezed_thermal(state)
-        got = _evolved_invariants(state, s0, p)(t)
+        got = _evolved_invariants(state, p)(t)
         x = Fraction(math.exp(-2.0 * p.lam * t))
         gibbs, start = (
             [[Fraction(v) for v in row] for row in a.tolist()]
             for a in (asymptotic_covariance(p).sigma, s0.sigma)
         )
         q = [[g + x * (s - g) for g, s in zip(rg, rs)] for rg, rs in zip(gibbs, start)]
-        den2 = got.den * got.den
-        dets = (got.det_a, den2), (got.det_b, den2), (got.det_c, den2), (got.det_sigma, den2**2)
-        assert tuple(Fraction(num, den) for num, den in dets) == _block_dets(q), (state, p, t)
+        assert _as_fractions(got)[0] == _block_dets(q), (state, p, t)
 
 
 def test_evolved_invariants_where_x_is_one_are_the_initial_state():
-    state = SqueezedThermalParams(0.3, 1.4, 1.5)
-    s0 = build_squeezed_thermal(state)
+    # the same rationals and verdict as s0's own invariants, over another den;
+    # at r = 12 the rounded entries have a b = c^2, so s0 is not positive definite
     p = EnvironmentParams(lam=0.2, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
-    assert _evolved_invariants(state, s0, p)(0.0) == s0._invariants
-    assert _evolved_invariants(state, s0, p)(1e-300) == s0._invariants  # x rounds to 1
     undamped = EnvironmentParams(lam=0.0, m=1.3, omega1=0.8, omega2=1.6, temperature=1.0)
-    assert _evolved_invariants(state, s0, undamped)(7.0) == s0._invariants
+    for state in SqueezedThermalParams(0.3, 1.4, 1.5), SqueezedThermalParams(0.0, 0.0, 12.0):
+        want = _as_fractions(build_squeezed_thermal(state)._invariants)
+        assert _as_fractions(_evolved_invariants(state, p)(0.0)) == want
+        assert _as_fractions(_evolved_invariants(state, p)(1e-300)) == want  # x rounds to 1
+        assert _as_fractions(_evolved_invariants(state, undamped)(7.0)) == want
 
 
 @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
 def test_evolved_invariants_reject_bad_time(t):
-    s0 = build_squeezed_thermal(FIG_STATE)
     with pytest.raises(InvalidParams, match="non-negative"):
-        _evolved_invariants(FIG_STATE, s0, EnvironmentParams(lam=0.1))(t)
+        _evolved_invariants(FIG_STATE, EnvironmentParams(lam=0.1))(t)
 
 
 # ---------------------------------------------------------------- RK4 oracle

@@ -498,6 +498,20 @@ def test_invariants_pure_measured_mode_with_correlations_rejected():
         discord_invariants(CovarianceMatrix(sigma))
 
 
+def test_invariants_branch_two_with_zero_beta_rejected():
+    # det B = 0 on the second branch: epsilon's denominator 2 beta vanishes
+    sigma = np.array(
+        [
+            [1.0, 0.0, 0.5, 0.0],
+            [0.0, -1.0, 0.0, -0.5],
+            [0.5, 0.0, 0.0, 0.0],
+            [0.0, -0.5, 0.0, 0.0],
+        ]
+    )
+    with pytest.raises(NonPhysical, match="beta=0.0 is not positive"):
+        discord_invariants(CovarianceMatrix(sigma))
+
+
 # ---------------------------------------------------------------- precision
 
 
@@ -560,9 +574,8 @@ def test_cell_kernel_equals_public_measures():
             temperature=0.0 if draw % 7 == 0 else rng.uniform(0.0, 4.0),
         )
         t = 0.0 if draw % 5 == 0 else rng.uniform(0.0, 30.0)
-        s0 = build_squeezed_thermal(state)
-        inv = _evolved_invariants(state, s0, p)(t)
-        ones += inv is s0._invariants
+        inv = _evolved_invariants(state, p)(t)
+        ones += math.exp(-2.0 * p.lam * t) == 1.0
         for mode in MeasuredMode:
             want = _outcome(_public_measures, inv, mode)
             assert _outcome(_measures, inv, mode) == want, (draw, mode)
