@@ -9,13 +9,12 @@ initial state and of the bath, and a failing cell is named as
 ``at t=..., T=...``.
 
 The measures read only the block determinants det A, det B, det C and
-det sigma.  ``sweep`` takes the exact entries of the initial and the Gibbs
-state from the parameters once per bath temperature; each cell forms the
-four invariants as exact products of its evolved quadrature entries and
-hands the integers to the private measure rules of ``states``
-(``_measures``), so a sweep builds no matrix, loads no numpy and forms no
-result object but its rows.  ``sudden_death_time`` scans sigma(t) from one
-``evolution`` per search, on 4x4 numpy matrices.  Every grid cell is an
+det sigma.  ``sweep`` computes x = e^{-2 lam t} and y = 1 - x once per
+time, and the entries of the initial state and the Gibbs terms once per
+bath temperature; each cell is then a closed float kernel on those numbers
+(``states._cell_kernel``), so a sweep builds no matrix, loads no numpy and
+forms no object but its rows.  ``sudden_death_time`` scans sigma(t) from
+one ``evolution`` per search, on 4x4 numpy matrices.  Every grid cell is an
 independent pure computation, so tables come out identical regardless of
 evaluation order.
 """
@@ -23,15 +22,15 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import replace
+from typing import NamedTuple, Sequence
 
-from .dynamics import EnvironmentParams, _evolved_invariants, evolution
+from .dynamics import EnvironmentParams, evolution
 from .errors import GaussBathError, InvalidInput, InvalidParams
 from .states import (
     MeasuredMode,
     SqueezedThermalParams,
-    _measures,
+    _cell_kernel,
     build_squeezed_thermal,
     log_negativity,
     ppt_g,
@@ -43,17 +42,18 @@ from .states import (
 # a grid of t_max/2000 steps.
 _SCAN_POINTS = 2000
 
-# Width to which bisection narrows the sudden-death bracket.
+# Width to which bisection narrows the sudden-death bracket: absolute for
+# brackets above t = 1, relative below.
 _ESD_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Measures of the evolved state at one (time, temperature) cell.
 
     e_n is the logarithmic negativity in bits, discord the Gaussian discord
     in nats, and nu_minus the smallest symplectic eigenvalue (physicality
-    witness, 2 nu_minus >= 1 for bona fide states).
+    witness, 2 nu_minus >= 1 for bona fide states).  A row is a tuple of
+    these five fields, and compares equal to the plain tuple of them.
     """
 
     t: float
@@ -87,8 +87,8 @@ def sudden_death_time(
     Works on the sign of h(t) = 4 g(sigma(t)) - 1, which crosses zero where
     the logarithmic negativity hits zero: a coarse scan with step
     t_max/2000 brackets the first sign change and bisection narrows it to
-    width <= 1e-6.  Returns None when the state stays entangled on the whole
-    range.
+    width <= 1e-6 min(1, t), or to two adjacent doubles.  Returns None when
+    the state stays entangled on the whole range.
 
     Raises
     ------
@@ -122,8 +122,10 @@ def sudden_death_time(
     else:
         return None
 
-    while hi - lo > _ESD_TOL:
+    while hi - lo > _ESD_TOL * min(1.0, hi):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent doubles: hi is the first one past the crossing
+            return hi
         if h(mid) >= 0.0:
             hi = mid
         else:
@@ -149,13 +151,18 @@ def sweep(
     as "at t=..., T=...: <message>".
     """
     times = _check_grid(t_grid, "t_grid")
+    if times[0] < 0:
+        raise InvalidParams(f"time must be finite and non-negative, got {times[0]}")
     temperatures = _check_grid(temperature_grid, "temperature_grid")
+    rate = -2.0 * env_base.lam
+    decay = [(t, math.exp(rate * t), -math.expm1(rate * t)) for t in times]
     rows = []
     for temperature in temperatures:
-        invariants_at = _evolved_invariants(state, replace(env_base, temperature=temperature))
-        for t in times:
+        gibbs = replace(env_base, temperature=temperature)._gibbs_modes()
+        cell = _cell_kernel(state, gibbs, measured_mode)
+        for t, x, y in decay:
             try:
-                e_n, discord, nu_minus = _measures(invariants_at(t), measured_mode)
+                e_n, discord, nu_minus = cell(x, y)
             except GaussBathError as exc:
                 raise _at_cell(t, temperature, exc) from exc
             rows.append(SweepRow(t, temperature, e_n, discord, nu_minus))

@@ -21,15 +21,17 @@ builds sigma_inf once for a loop over t and returns sigma(t); the
 sudden-death search runs on it.
 
 The sweep needs only the invariants of sigma(t).  They are those of
-sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}.  For the
-squeezed thermal initial state that matrix splits into an x-quadrature and
-a p-quadrature 2x2 block, so ``_evolved_invariants`` forms each invariant
-per t as an exact product of five integer entries, from the parameters,
-with no M(t), no 4x4 matrix and no numpy; numpy is imported only by the
-constructors of float matrices (``propagator``, ``asymptotic_covariance``).
-The independent oracles (a fixed-step Runge-Kutta integrator, a generic
-matrix exponential and the closed form in exact rational arithmetic) live
-with the tests.
+sigma_inf + x (sigma(0) - sigma_inf) with x = e^{-2 lam t}: scaling each
+mode by sqrt(m omega_k) turns M_k(t) into e^{-lam t} times a rotation that
+commutes with the scaled Gibbs block.  For the squeezed thermal initial
+state that matrix splits into an x-quadrature and a p-quadrature 2x2 block,
+so a sweep cell (``states._cell_kernel``) reads only x, y = 1 - x, the
+entries of sigma(0) and the Gibbs terms of ``_gibbs_modes``, with no M(t),
+no 4x4 matrix and no numpy; numpy is imported only by the constructors of
+float matrices (``propagator``, ``asymptotic_covariance``).  The
+independent oracles (a fixed-step Runge-Kutta integrator, a generic matrix
+exponential, the closed form in exact rational arithmetic and the
+exact-integer cell kernel) live with the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidParams
-from .states import CovarianceMatrix, SqueezedThermalParams, _ExactInvariants
+from .states import CovarianceMatrix
 
 if TYPE_CHECKING:
     from .states import Mat4
@@ -103,6 +105,22 @@ class EnvironmentParams:
             entries += [coth / (2.0 * m * omega), m * omega * coth / 2.0]
         return entries
 
+    def _gibbs_modes(self) -> list[tuple[float, float, float, float]]:
+        """Per mode, (g_x, g_p, e, z): its Gibbs diagonal pair, e = g_x + g_p - 1 and
+        z = 1/sinh(w/2T), in forms free of cancellation and overflow.
+
+        With s = coth(w/2T)/2 and v = w/T, 2s - 1 = 2 e^{-v}/(1 - e^{-v}), so
+        e = g_x (m w - 1)^2 + (2s - 1) and z = 2 e^{-v/2}/(1 - e^{-v}); both
+        terms are 0 at T = 0, and z^2 = 4 s^2 - 1.
+        """
+        gibbs, modes = self._gibbs_diagonal(), []
+        for g_x, g_p, omega in ((*gibbs[:2], self.omega1), (*gibbs[2:], self.omega2)):
+            v = omega / self.temperature if self.temperature > 0 else math.inf
+            one_minus, detuning = -math.expm1(-v), self.m * omega - 1.0
+            excess, z = 2.0 * math.exp(-v) / one_minus, 2.0 * math.exp(-0.5 * v) / one_minus
+            modes.append((g_x, g_p, g_x * detuning * detuning + excess, z))
+        return modes
+
 
 def propagator(p: EnvironmentParams, t: float) -> Mat4:
     """Analytic exp(Y t): per mode a damped rotation.
@@ -154,48 +172,3 @@ def evolution(s0: CovarianceMatrix, p: EnvironmentParams) -> Callable[[float], C
 
     return at
 
-
-def _evolved_invariants(
-    state: SqueezedThermalParams, p: EnvironmentParams
-) -> Callable[[float], _ExactInvariants]:
-    """The exact invariants of sigma(t), as a function of the time t, without sigma(t).
-
-    sigma(0) is build_squeezed_thermal(state).  Scaling each mode by
-    sqrt(m omega_k) turns M_k(t) into e^{-lam t} times a rotation that
-    commutes with the scaled Gibbs block, so sigma(t) is a local
-    unit-determinant transform of G + x (sigma(0) - G), x = e^{-2 lam t},
-    with the same det A, det B, det C and det sigma.  In the order
-    (x1, x2 | p1, p2) that matrix is block diagonal, [[A_x, k], [k, B_x]] and
-    [[A_p, -k], [-k, B_p]], with A_x = x a + (1 - x) g1x (likewise A_p, B_x,
-    B_p from a, b and the Gibbs diagonal) and k = x c:
-
-        det A = A_x A_p,  det B = B_x B_p,  det C = -k^2,
-        det sigma = (A_x B_x - k^2)(A_p B_p - k^2).
-
-    The seven entries become integers over one power-of-two den here; each t
-    forms the products exactly at the double x = xn / xd, over den * xd.
-    Where x is 1 (t = 0, lam = 0, or x rounds to 1) they are sigma(0)'s
-    invariants as exact rationals.  positive_definite is sigma(0)'s verdict,
-    since G + x (sigma(0) - G) is a convex combination of sigma(0) and the
-    Gibbs state: its leading minors are a, a^2, a (ab - c^2) and
-    (ab - c^2)^2, so it reads a > 0 and ab > c^2.  t must be finite and
-    non-negative.
-    """
-    ratios = [v.as_integer_ratio() for v in (*state._entries(), *p._gibbs_diagonal())]
-    den = max(2, *(d for _, d in ratios))  # powers of two: each divides the largest
-    a, b, c, g1x, g1p, g2x, g2p = (n * (den // d) for n, d in ratios)
-    positive_definite = a > 0 and a * b > c * c
-    rate = -2.0 * p.lam
-
-    def at(t: float) -> _ExactInvariants:
-        if not 0 <= t < math.inf:
-            raise InvalidParams(f"time must be finite and non-negative, got {t}")
-        xn, xd = math.exp(rate * t).as_integer_ratio()
-        y = xd - xn
-        a_x, a_p = xn * a + y * g1x, xn * a + y * g1p
-        b_x, b_p = xn * b + y * g2x, xn * b + y * g2p
-        k2 = (xn * c) ** 2
-        det_sigma = (a_x * b_x - k2) * (a_p * b_p - k2)
-        return _ExactInvariants(den * xd, a_x * a_p, b_x * b_p, -k2, det_sigma, positive_definite)
-
-    return at

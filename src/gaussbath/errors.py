@@ -15,7 +15,7 @@ class NonPhysical(GaussBathError):
 
 class DomainError(GaussBathError, ValueError):
     """A value lies outside its domain: an entropy-function argument below 1
-    beyond tolerance, or an exact invariant too large for a double."""
+    beyond tolerance, or an invariant too large for a double."""
 
 
 class InvalidInput(GaussBathError, ValueError):

@@ -23,17 +23,18 @@ of 2*sigma); this is the same rescaling that makes sqrt(alpha) >= 1 and
 gives D = 0 exactly on product states.
 
 Every measure reads only the four block determinants det A, det B, det C
-and det sigma, held as exact integers over a power-of-two denominator in
-``_ExactInvariants``.  A CovarianceMatrix computes them from its (dyadic)
-float entries; a sweep cell forms them as exact products of its evolved
-quadrature entries (dynamics._evolved_invariants).  Each measure is a
-private float rule on those integers, wrapped by its public function; a
-sweep cell calls the rules directly (``_measures``).  Each invariant
+and det sigma.  The public measures hold them as exact integers over a
+power-of-two denominator (``_ExactInvariants``), computed from a
+CovarianceMatrix's dyadic float entries; each measure is a private float
+rule on those integers, wrapped by its public function, and each invariant
 reaches floating point through one correctly rounded division.  The
 physically interesting states sit on or near the degenerate manifold
-Delta^2 = 4 det sigma (symmetric, pure, equal-frequency states), where
-plain doubles lose half their digits through sqrt of a cancellation-noise
-discriminant; exact invariants keep the eigenvalues accurate there.
+Delta^2 = 4 det sigma (symmetric, pure, equal-frequency states), where plain
+doubles lose half their digits through sqrt of a cancellation-noise
+discriminant; exact invariants keep the eigenvalues accurate there.  A
+sweep cell instead evaluates, in floats, forms of the same quantities in
+which nothing cancels, from the parameters (``_cell_kernel``), with the
+checks and messages of the public measures.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import DomainError, InvalidParams, NonPhysical
 
@@ -216,7 +217,7 @@ def _minors(u: list, v: list) -> tuple:
     )
 
 
-_OUT_OF_RANGE = "an exact invariant lies outside the double range"
+_OUT_OF_RANGE = "an invariant lies outside the double range"
 
 
 @dataclass(frozen=True)
@@ -398,9 +399,9 @@ def f_entropy(x: float) -> float:
         raise DomainError(f"entropy function argument {x!r} is below 1 beyond tolerance")
     if x <= 1.0:
         return 0.0
-    xp = 0.5 * (x + 1.0)
     xm = 0.5 * (x - 1.0)
-    return xp * math.log(xp) - xm * math.log(xm)
+    # (xm + 1) log(xm + 1) - xm log(xm), with no cancellation at large x
+    return math.log1p(xm) + xm * math.log1p(1.0 / xm)
 
 
 def _clamped_sqrt(value: float, what: str, scale: float = 1.0) -> float:
@@ -522,12 +523,105 @@ def gaussian_discord(
     return _discord(conditional.beta, conditional.epsilon, nu_minus, nu_plus)
 
 
-def _measures(inv: _ExactInvariants, measured_mode: MeasuredMode) -> tuple[float, float, float]:
-    """(E_N, D, nu_minus) of one sweep cell: the values and the order of checks of
-    log_negativity, gaussian_discord and symplectic_spectrum(...).nu_minus, from
-    the same private rules, with den**2 and den**4 formed once and no result objects."""
-    den2, den4 = _den_powers(inv)
-    e_n = _negativity(_ppt_g(inv, den2, den4))
-    nu_minus, nu_plus = _bona_fide(inv, den2, den4)
-    _, beta, _, _, epsilon, _ = _conditional(inv, measured_mode, den2)
-    return e_n, _discord(beta, epsilon, nu_minus, nu_plus), nu_minus
+def _cell_kernel(
+    state: SqueezedThermalParams, gibbs: list, measured_mode: MeasuredMode
+) -> Callable[[float, float], tuple[float, float, float]]:
+    """(E_N, D, nu_minus) of a sweep cell, as a function of (x, y) = (e^{-2 lam t}, 1 - x).
+
+    gibbs is EnvironmentParams._gibbs_modes().  In the quadrature order
+    (x1, x2 | p1, p2) the evolved state has the blocks [[A_x, k], [k, B_x]]
+    and [[A_p, -k], [-k, B_p]], where B is the measured mode,
+    A_x = x a + y g1x (likewise A_p, B_x, B_p) and k = x c.  With
+    P_x = A_x B_x - k^2 and P_p likewise, det A = A_x A_p, det B = B_x B_p,
+    det C = -k^2 and det sigma = P_x P_p.  Every quantity that cancels is
+    taken from a form free of cancellation:
+
+    * P_x = x^2 d0 + x y (a g2x + b g1x) + y^2 g1x g2x, d0 = (n1+1/2)(n2+1/2);
+    * diff = det A - det B, whose x^2 coefficient is (nA - nB)(a + b);
+    * g = 2 det sigma / (tr~ + sqrt(disc~)), where tr~ = det A + det B + 2k^2
+      and disc~ = diff^2 + 4k^2 (A_x + B_p)(A_p + B_x);
+    * tr = (sqrt det A - sqrt det B)^2 + 2 (sqrt(det A det B) - k^2), each
+      difference as a quotient, and disc = diff^2 + 4k^2 (B_p - A_x)(A_p - B_x),
+      or tr^2 - 4 det sigma where that cancels less;
+    * beta - 1 = x^2 u (u + 2) + 2 x y h + y^2 z^2, with u = 2b - 1 and
+      h = 2b (g2x + g2p) - 1 = u (g2x + g2p) + e;
+    * the Adesso-Datta branch test, whose sides differ by
+      64 k^4 (A_p - 4 B_x P_x)(A_x - 4 B_p P_p) (k = 0 takes branch one);
+    * branch one's radicand 4 (4 B_x P_p - A_p)(4 B_p P_x - A_x), each factor a
+      cubic in (x, y), and sqrt(epsilon) = (4k^2 + sqrt(radicand)) / (beta - 1);
+    * branch two's radicand 256 k^4 (P_p - P_x)^2, which leaves
+      epsilon = 16 (det sigma + k^2 min(P_x, P_p)) / beta.
+
+    Each y g product is formed first, so a huge Gibbs state at a tiny t stays
+    in range.  The checks and messages are those of the public measures, and
+    a value outside the double range is a DomainError.
+    """
+    (n_a, n_b), (a, b, c), modes = (state.n1, state.n2), state._entries(), gibbs
+    if measured_mode is MeasuredMode.MODE1:
+        n_a, n_b, a, b, modes = n_b, n_a, b, a, modes[::-1]
+    (ga_x, ga_p, _, _), (gb_x, gb_p, e, z) = modes
+    sh2, ch2 = math.sinh(state.r) ** 2, math.cosh(state.r) ** 2
+    d0, nd = (n_a + 0.5) * (n_b + 0.5), n_a - n_b
+    u = 2.0 * (n_a * sh2 + n_b * ch2 + sh2)
+    u2, ab4, d04, nd2 = u * (u + 2.0), 4.0 * a * b, 4.0 * d0, nd * (a + b)
+    g_diff = ga_x + ga_p - gb_x - gb_p
+    # the x^3 coefficient of both radicand factors, 4 b d0 - a
+    c3 = 4.0 * ((n_b + 0.5) * sh2 * n_a * (n_a + 1.0) + (n_a + 0.5) * ch2 * n_b * (n_b + 1.0))
+
+    def cell(x: float, y: float) -> tuple[float, float, float]:
+        ax, ap, bx, bp = y * ga_x, y * ga_p, y * gb_x, y * gb_p
+        a_x, a_p, b_x, b_p = x * a + ax, x * a + ap, x * b + bx, x * b + bp
+        k = x * c
+        k2 = k * k
+        p_x = x * (x * d0 + a * bx + b * ax) + ax * bx
+        p_p = x * (x * d0 + a * bp + b * ap) + ap * bp
+        det_a, det_b, det_s = a_x * a_p, b_x * b_p, p_x * p_p
+        diff = x * (x * nd2 + nd * (ax + ap) + b * (y * g_diff)) + (ax * ap - bx * bp)
+        d2 = diff * diff
+        s_ppt = det_a + det_b + 2.0 * k2 + math.sqrt(d2 + 4.0 * k2 * (a_x + b_p) * (a_p + b_x))
+        g = 2.0 * det_s / s_ppt
+        if not math.isfinite(s_ppt + g):
+            raise DomainError(_OUT_OF_RANGE)
+        if g <= 0.0:
+            raise NonPhysical(f"non-positive partial-transpose invariant g={g:.3e}")
+        root_a, root_b = math.sqrt(det_a), math.sqrt(det_b)
+        root_diff = diff / (root_a + root_b)
+        tr = root_diff * root_diff + 2.0 * (det_s + k2 * (p_x + p_p)) / (root_a * root_b + k2)
+        qq = 4.0 * k2 * (bp - ax - x * nd) * (ap - bx + x * nd)
+        disc = tr * tr - 4.0 * det_s if d2 - qq > tr * tr else d2 + qq
+        s = tr + _clamped_sqrt(disc, "symplectic invariant discriminant", tr * tr)
+        nu_minus, nu_plus = math.sqrt(2.0 * det_s / s), math.sqrt(0.5 * s)
+        if nu_plus < nu_minus:
+            nu_minus, nu_plus = nu_plus, nu_minus
+        if 2.0 * nu_minus < 1.0 - PHYSICALITY_TOL:
+            raise NonPhysical(f"2 nu_minus = {2.0 * nu_minus:.6g} is below 1 beyond tolerance")
+        beta = 4.0 * det_b
+        if k2 == 0.0 or (a_p - 4.0 * b_x * p_x) * (a_x - 4.0 * b_p * p_p) >= 0.0:
+            yz, yh = y * z, u * (bx + bp) + y * e
+            yz2 = yz * yz
+            beta_1 = x * (x * u2 + 2.0 * yh) + yz2
+            if abs(beta_1) < _PURE_MODE_TOL:
+                if 4.0 * k2 >= _PURE_MODE_TOL:
+                    raise NonPhysical(
+                        f"pure measured mode (beta={beta!r}) with nonzero gamma={-4.0 * k2!r}"
+                    )
+                epsilon = 4.0 * det_a
+            else:
+                f1 = x * (x * (x * c3 + ap * u2 + ab4 * bp + d04 * bx - 2.0 * a * y)
+                          + a * yz2 + 2.0 * ap * yh) + ap * yz2
+                f2 = x * (x * (x * c3 + ax * u2 + ab4 * bx + d04 * bp - 2.0 * a * y)
+                          + a * yz2 + 2.0 * ax * yh) + ax * yz2
+                if f1 * f2 >= 0.0:
+                    root = 2.0 * math.sqrt(abs(f1)) * math.sqrt(abs(f2))
+                else:  # 32 k^4 - 4 f1 f2 = gamma^2 + |(beta - 1)(delta - alpha)|
+                    rad, scale = 4.0 * f1 * f2, 32.0 * k2 * k2 - 4.0 * f1 * f2
+                    root = _clamped_sqrt(rad, "conditional-branch radicand", scale)
+                root_eps = (4.0 * k2 + root) / beta_1
+                epsilon = root_eps * root_eps
+        else:
+            epsilon = 16.0 * (det_s + k2 * min(p_x, p_p)) / beta
+        if not math.isfinite(beta + epsilon):
+            raise DomainError(_OUT_OF_RANGE)
+        return _negativity(g), _discord(beta, epsilon, nu_minus, nu_plus), nu_minus
+
+    return cell

@@ -11,7 +11,11 @@ None of this is used by the package itself:
 * ``det2``/``det3``/``det4`` are plain float cofactor determinants, as an
   oracle for the exact integer invariants;
 * ``exact_invariants`` forms the closed-form sigma(t) in rational
-  arithmetic, as an oracle for the sweep's invariant kernel;
+  arithmetic, as an oracle for ``_evolved_invariants``;
+* ``_evolved_invariants`` and ``_measures`` are the exact-integer sweep
+  cell: the block determinants of the evolved state as exact products of its
+  quadrature entries, turned into (E_N, D, nu_minus) by the private rules of
+  the public measures, with every check and message in their order;
 * ``mp_measures`` recomputes E_N, D and nu_minus from the exact float
   entries with rational determinants and 60-digit ``mpmath`` arithmetic,
   as an oracle for the whole static-measure path;
@@ -27,14 +31,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from gaussbath.dynamics import EnvironmentParams, asymptotic_covariance, propagator
 from gaussbath.errors import InvalidParams, NonPhysical
-from gaussbath.states import CovarianceMatrix, MeasuredMode, _bona_fide, _den_powers
+from gaussbath.states import (
+    CovarianceMatrix,
+    MeasuredMode,
+    SqueezedThermalParams,
+    _ExactInvariants,
+    _bona_fide,
+    _conditional,
+    _den_powers,
+    _discord,
+    _negativity,
+    _ppt_g,
+)
 
 Mat4 = NDArray[np.float64]
 
@@ -196,6 +211,59 @@ def exact_invariants(
     return _block_dets((m @ (s - g) @ m.T + g).tolist())
 
 
+def _evolved_invariants(
+    state: SqueezedThermalParams, p: EnvironmentParams
+) -> Callable[[float], _ExactInvariants]:
+    """The exact invariants of sigma(t), as a function of the time t, without sigma(t).
+
+    sigma(0) is build_squeezed_thermal(state).  sigma(t) is a local
+    unit-determinant transform of G + x (sigma(0) - G), x = e^{-2 lam t}, with
+    the same det A, det B, det C and det sigma.  In the order (x1, x2 | p1, p2)
+    that matrix is block diagonal, [[A_x, k], [k, B_x]] and
+    [[A_p, -k], [-k, B_p]], with A_x = x a + (1 - x) g1x (likewise A_p, B_x,
+    B_p from a, b and the Gibbs diagonal) and k = x c:
+
+        det A = A_x A_p,  det B = B_x B_p,  det C = -k^2,
+        det sigma = (A_x B_x - k^2)(A_p B_p - k^2).
+
+    The seven entries become integers over one power-of-two den; each t forms
+    the products exactly at the double x = xn / xd, over den * xd, so y = 1 - x
+    is exact in x and 0 where x rounds to 1.  positive_definite is sigma(0)'s
+    verdict on the rounded entries (a > 0 and ab > c^2), since
+    G + x (sigma(0) - G) is a convex combination of sigma(0) and the Gibbs
+    state.  t must be finite and non-negative.
+    """
+    ratios = [v.as_integer_ratio() for v in (*state._entries(), *p._gibbs_diagonal())]
+    den = max(2, *(d for _, d in ratios))  # powers of two: each divides the largest
+    a, b, c, g1x, g1p, g2x, g2p = (n * (den // d) for n, d in ratios)
+    positive_definite = a > 0 and a * b > c * c
+    rate = -2.0 * p.lam
+
+    def at(t: float) -> _ExactInvariants:
+        if not 0 <= t < math.inf:
+            raise InvalidParams(f"time must be finite and non-negative, got {t}")
+        xn, xd = math.exp(rate * t).as_integer_ratio()
+        y = xd - xn
+        a_x, a_p = xn * a + y * g1x, xn * a + y * g1p
+        b_x, b_p = xn * b + y * g2x, xn * b + y * g2p
+        k2 = (xn * c) ** 2
+        det_sigma = (a_x * b_x - k2) * (a_p * b_p - k2)
+        return _ExactInvariants(den * xd, a_x * a_p, b_x * b_p, -k2, det_sigma, positive_definite)
+
+    return at
+
+
+def _measures(inv: _ExactInvariants, measured_mode: MeasuredMode) -> tuple[float, float, float]:
+    """(E_N, D, nu_minus) of one exact-integer cell: the values and the order of checks
+    of log_negativity, gaussian_discord and symplectic_spectrum(...).nu_minus, from
+    the same private rules, with den**2 and den**4 formed once and no result objects."""
+    den2, den4 = _den_powers(inv)
+    e_n = _negativity(_ppt_g(inv, den2, den4))
+    nu_minus, nu_plus = _bona_fide(inv, den2, den4)
+    _, beta, _, _, epsilon, _ = _conditional(inv, measured_mode, den2)
+    return e_n, _discord(beta, epsilon, nu_minus, nu_plus), nu_minus
+
+
 def _mp_measures(
     det_a: Any, det_b: Any, det_c: Any, det_s: Any, measured_mode: MeasuredMode
 ) -> tuple[float, float, float]:
@@ -216,7 +284,10 @@ def _mp_measures(
     def f(x: Any) -> Any:
         if x <= 1:
             return mpmath.mpf(0)
-        return (x + 1) / 2 * mpmath.log((x + 1) / 2) - (x - 1) / 2 * mpmath.log((x - 1) / 2)
+        # (xm + 1) log(xm + 1) - xm log(xm) without the cancellation of its two
+        # terms, which costs log10(x) digits
+        xm = (x - 1) / 2
+        return mpmath.log1p(xm) + xm * mpmath.log1p(1 / xm)
 
     nu2_minus, nu2_plus = squared_pair(det_c)
     g, _ = squared_pair(-det_c)

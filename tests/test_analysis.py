@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gaussbath.states import (
     gaussian_discord,
     log_negativity,
     ppt_g,
-    symplectic_spectrum,
+    separability_threshold_r,
 )
 
 FIG_STATE = SqueezedThermalParams(n1=1.0, n2=1.0, r=2.0)
@@ -34,14 +35,11 @@ def fig_env(temperature, lam=0.1):
 
 
 def test_trajectory_single_point_matches_direct_measures():
-    s0 = build_squeezed_thermal(FIG_STATE)
     points = sweep(FIG_STATE, fig_env(1.0), [0.0], [1.0])
     assert len(points) == 1
     pt = points[0]
     assert pt.t == 0.0
-    assert pt.e_n == log_negativity(s0)
-    assert pt.discord == gaussian_discord(s0)
-    assert pt.nu_minus == symplectic_spectrum(s0).nu_minus
+    assert_near_reference(points, FIG_STATE, fig_env(1.0), MeasuredMode.MODE2, 2e-15)
 
 
 def test_trajectory_zero_temperature_stays_entangled():
@@ -105,6 +103,15 @@ def test_sudden_death_matches_closed_form(n, r, lam, temperature):
     assert abs(t_star - expected) <= 1e-6
     # at T = 0 the variance relaxes to 1/2 from below and never reaches it
     assert sudden_death_time(state, fig_env(0.0, lam=lam), t_max) is None
+
+
+@pytest.mark.parametrize("temperature", [1e3, 1e6])
+def test_sudden_death_bracket_is_relative_at_early_deaths(temperature):
+    # a hot bath kills the entanglement at t ~ 1e-3 and ~ 1e-6; the bisection
+    # narrows the bracket to 1e-6 of t there, not to 1e-6 absolute
+    expected = closed_form_death_time(1.0, 2.0, 0.1, temperature)
+    t_star = sudden_death_time(FIG_STATE, fig_env(temperature), 20.0)
+    assert t_star == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_sudden_death_sign_change_confirmed_by_rk4():
@@ -173,15 +180,13 @@ def test_sudden_death_failure_names_time_and_temperature(monkeypatch):
 
 
 def test_sweep_single_cell_at_origin():
-    s0 = build_squeezed_thermal(FIG_STATE)
     rows = sweep(FIG_STATE, fig_env(0.0), [0.0], [0.7])
     assert len(rows) == 1
     row = rows[0]
     assert row.t == 0.0
     assert row.temperature == 0.7
-    assert row.e_n == log_negativity(s0)
-    assert row.discord == gaussian_discord(s0)
-    assert row.nu_minus == symplectic_spectrum(s0).nu_minus
+    assert row == (0.0, 0.7, row.e_n, row.discord, row.nu_minus)  # rows are tuples
+    assert_near_reference(rows, FIG_STATE, fig_env(0.7), MeasuredMode.MODE2, 2e-15)
 
 
 def test_sweep_failure_names_time_and_temperature(monkeypatch, tmp_path, capsys):
@@ -235,6 +240,8 @@ def test_sweep_validates_grids():
         sweep(FIG_STATE, fig_env(0.0), [1.0, 0.5], [0.0])
     with pytest.raises(InvalidParams):
         sweep(FIG_STATE, fig_env(0.0), [0.0], [2.0, 1.0])
+    with pytest.raises(InvalidParams, match="non-negative"):
+        sweep(FIG_STATE, fig_env(0.0), [-1.0, 0.0], [0.0])
 
 
 def test_sweep_rejects_non_finite_grid_values():
@@ -257,30 +264,23 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_loop_invariants_are_computed_once(monkeypatch, tmp_path):
-    # the Gibbs state and the kernel's exact entries depend on the temperature
-    # only; each cell's spectrum is computed once, for the discord's bona fide
-    # check, and its nu_minus column reads the same value: one
-    # _squared_spectrum call for it and one for the partial transpose.  A cell
-    # calls the private rules, so it builds no DiscordInvariants
-    builds = _count_calls(monkeypatch, analysis, "_evolved_invariants")
-    gibbs = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
-    spectra = _count_calls(monkeypatch, states, "_spectrum_pair")
+    # the Gibbs terms and the cell kernel's constants depend on the temperature
+    # only: one of each per temperature; a cell calls no exact-integer rule
+    kernels = _count_calls(monkeypatch, analysis, "_cell_kernel")
+    gibbs = _count_calls(monkeypatch, dynamics.EnvironmentParams, "_gibbs_modes")
     squared = _count_calls(monkeypatch, states, "_squared_spectrum")
-    conditionals = _count_calls(monkeypatch, states, "DiscordInvariants")
+    conditionals = _count_calls(monkeypatch, states, "_conditional")
     sweep(FIG_STATE, fig_env(0.0), np.linspace(0.0, 4.0, 5), [0.0, 1.0, 2.0])
-    assert len(builds) == 3
-    assert len(gibbs) <= 3
-    assert len(spectra) == 5 * 3
-    assert len(squared) == 2 * 5 * 3
-    assert not conditionals
+    assert len(kernels) == len(gibbs) == 3
+    assert not squared and not conditionals
 
-    squared.clear()
+    kernels.clear()
     assert cli.main(["evolve", "--points", "5", "--output", str(tmp_path / "out.csv")]) == 0
-    assert len(squared) == 2 * 5
+    assert len(kernels) == 1
 
-    gibbs.clear()
+    covariances = _count_calls(monkeypatch, dynamics, "asymptotic_covariance")
     sudden_death_time(FIG_STATE, fig_env(1.0), 20.0)
-    assert len(gibbs) == 1
+    assert len(covariances) == 1
 
 
 def test_sweep_respects_measured_mode():
@@ -301,6 +301,19 @@ def test_classify_threshold_late_time_rows_decay():
 # ---------------------------------------------------------------- accuracy from the parameters
 
 
+def assert_near_reference(rows, state, env, mode, d_bound):
+    """Every row against the 50-digit reference from the parameters: E_N within
+    2e-15 and D within d_bound, absolute, and nu_minus within 2e-15 relative."""
+    pytest.importorskip("mpmath")
+    params = (state.n1, state.n2, state.r, env.m, env.omega1, env.omega2, env.lam)
+    worst = [0.0, 0.0, 0.0]
+    for row in rows:
+        e_n, discord, nu_minus = mp_param_measures(*params, row.temperature, row.t, mode)
+        errors = (abs(row.e_n - e_n), abs(row.discord - discord), abs(row.nu_minus / nu_minus - 1))
+        worst = [max(w, err) for w, err in zip(worst, errors)]
+    assert worst[0] <= 2e-15 and worst[1] <= d_bound and worst[2] <= 2e-15, worst
+
+
 @pytest.mark.parametrize(
     "state, env, mode",
     [
@@ -317,17 +330,51 @@ def test_classify_threshold_late_time_rows_decay():
 def test_sweep_matches_parameter_side_reference(state, env, mode):
     # every 7th cell of a CLI-shaped sweep against a 50-digit reference
     # built from (n1, n2, r, m, omega, lam, T, t) with no rounded entry: the
-    # bound covers the rounding of s0, of the Gibbs state and of x
-    pytest.importorskip("mpmath")
+    # bounds cover the rounding of s0, of the Gibbs terms, of x and y and of
+    # the float kernel
     t_grid, temperature_grid = np.linspace(0.0, 20.0, 200), np.linspace(0.0, 4.0, 40)
     rows = sweep(state, env, t_grid, temperature_grid, mode)
-    params = (state.n1, state.n2, state.r, env.m, env.omega1, env.omega2, env.lam)
-    worst = [0.0, 0.0, 0.0]
-    for row in rows[::7]:
-        want = mp_param_measures(*params, row.temperature, row.t, mode)
-        got = (row.e_n, row.discord, row.nu_minus)
-        worst = [max(w, abs(g - e)) for w, g, e in zip(worst, got, want)]
-    assert max(worst) <= 5e-13, f"largest error in E_N, D, nu_minus: {worst}"
+    assert_near_reference(rows[::7], state, env, mode, 1e-14)
+
+
+# (state, bath, t grid, T grid, measured mode, bound on D); n1 = n2 = 0 is the
+# hardest case for the exact-integer kernel, which loses 1e-7 in D at r = 5 and
+# fails at r = 8
+_GATES = {
+    "r3": ((0, 0, 3), {}, (20, 12), (4, 5), "mode2", 1e-14),
+    "r5": ((0, 0, 5), {}, (20, 12), (4, 5), "mode2", 5e-14),
+    "r8": ((0, 0, 8), {}, (20, 12), (4, 5), "mode2", 5e-14),
+    "r8-mode1-m1.3": ((0, 0, 8), {"m": 1.3, "omega1": 0.8, "omega2": 1.6}, (20, 12), (4, 5),
+                      "mode1", 5e-14),
+    "mixed-mode1-m1.3": ((0.3, 1.4, 1.5), {"m": 1.3, "omega1": 0.8, "omega2": 1.6}, (20, 12),
+                         (4, 5), "mode1", 1e-14),
+    "r1-T0-late-mode1": ((0, 0, 1), {}, (60, 40), (0, 1), "mode1", 1e-14),
+}
+
+
+@pytest.mark.parametrize("gate", _GATES.values(), ids=_GATES.keys())
+def test_sweep_accuracy_gates(gate):
+    (n1, n2, r), bath, (t_max, t_points), (temperature_max, temperatures), mode, d_bound = gate
+    state, env = SqueezedThermalParams(n1, n2, r), EnvironmentParams(**bath)
+    mode = MeasuredMode(mode)
+    t_grid = np.linspace(0.0, t_max, t_points)
+    rows = sweep(state, env, t_grid, np.linspace(0.0, temperature_max, temperatures), mode)
+    assert_near_reference(rows, state, env, mode, d_bound)
+
+
+def test_sweep_accuracy_on_bench_box_draws():
+    # 12 seeded draws from the benchmark's box, 10 cells each, both measured modes
+    rng = random.Random(27)
+    for draw in range(12):
+        n1, n2 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+        r = rng.uniform(separability_threshold_r(n1, n2) + 0.2, 3.0)
+        state = SqueezedThermalParams(n1, n2, r)
+        env = EnvironmentParams(
+            lam=rng.uniform(0.05, 0.3), omega1=rng.uniform(0.5, 2.0), omega2=rng.uniform(0.5, 2.0)
+        )
+        mode = MeasuredMode.MODE1 if draw % 2 else MeasuredMode.MODE2
+        rows = sweep(state, env, np.linspace(0.0, 20.0, 5), [0.0, rng.uniform(0.0, 4.0)], mode)
+        assert_near_reference(rows, state, env, mode, 1e-14)
 
 
 def test_parameter_side_reference_keeps_its_digits_at_large_squeezing():

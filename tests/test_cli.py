@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import mp_param_measures
 
 import gaussbath
 from gaussbath.cli import _linspace, main, parse_config
@@ -33,10 +34,10 @@ GOLDENS = {
 # points, CSV and JSON.  Like the goldens, they depend on the platform's libm
 # (exp and tanh).  When one moves, tests/rowdiff.py reports which rows did.
 DEFAULT_DIGESTS = {
-    ("sweep", "csv"): "094311bdfae1d1fe9f66c25781b250733a074e73d5f21a7c55313a2213055110",
-    ("sweep", "json"): "70c4905bb2ca4a3e98e6abf2b6646b9942bd17f6e2fda318980d9270da260125",
-    ("evolve", "csv"): "035707cbe7787ec9821779eb75f693d73e61872511483c00ced7149867ef2c4f",
-    ("evolve", "json"): "9b20d04ac5bbb8940d5720ae667cb12f43e4d05ea1251757fc89aaa276891bf0",
+    ("sweep", "csv"): "6994e4f763f16755fe7f69235d276c9d59c2c4f04c4679936383444f01c1173b",
+    ("sweep", "json"): "4e39b5fa62a7f3c9647e76a0764fef3e83ef2178f5e5e5d3082ffa667865453f",
+    ("evolve", "csv"): "6e1a92f145b942e46dcf7b7cdb821202e2c8da1f4a37e85cafe4dacc2baf8634",
+    ("evolve", "json"): "ef496e636ab70145c03371afe8833f9e8fac439b7e0fb82bc620a8850d2f2164",
 }
 
 
@@ -155,7 +156,7 @@ def test_parameter_rejected_by_library_is_usage_error(key, value, via, tmp_path,
         (["sweep", "--temp-max", "1e308"], 2),
         (["sweep", "--temp-max", "1e308", "--points", "1"], 2),
         (["evolve", "--temperature", "1e200"], 1),
-        (["evolve", "--temperature", "1e60"], 1),
+        (["evolve", "--temperature", "1e80"], 1),
     ],
     ids=[
         "evolve-1e308",
@@ -163,12 +164,12 @@ def test_parameter_rejected_by_library_is_usage_error(key, value, via, tmp_path,
         "sweep-1e308",
         "sweep-1e308-one-point",
         "evolve-1e200",
-        "evolve-1e60",
+        "evolve-1e80",
     ],
 )
 def test_huge_temperature_fails_with_one_error_line(argv, code, tmp_path, capsys):
     # tanh(w/2T) is 0 at T = 1e308, checked at the hottest sweep cell too (exit 2);
-    # below that an invariant overflows (exit 1)
+    # below that, down to about 1e77, an invariant overflows (exit 1)
     assert main(argv + ["--output", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
@@ -195,12 +196,27 @@ def test_huge_squeezing_fails_with_one_error_line(argv, code, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _reference_rows(out, argv):
+    """Each printed row of a CLI table, and (t, T, E_N, D, nu_minus) from the
+    50-digit reference at the row's printed t and T."""
+    config = parse_config(argv)
+    state, env = config.state, config.env
+    params = (state.n1, state.n2, state.r, env.m, env.omega1, env.omega2, env.lam)
+    header, *lines = out.read_text().splitlines()
+    for line in lines:
+        row = dict(zip(header.split(","), map(float, line.split(","))))
+        t, temperature = row["t"], row.get("T", env.temperature)
+        yield row, mp_param_measures(*params, temperature, t, config.measured_mode)
+
+
 def test_huge_temperature_sweep_has_no_cancellation(tmp_path, capsys):
-    # the invariants are exact in x = e^{-2 lam t}; at t = 1e-300, x rounds to
-    # 1, so every cell is the initial state, even against a Gibbs state ~1e300
+    # at t = 1e-300, x rounds to 1 but y = 1 - x = 2e-301 does not, and y times
+    # a Gibbs state ~1e300 is of order 1: the cell is far from the initial state
+    pytest.importorskip("mpmath")
     out = tmp_path / "out.csv"
     argv = ["sweep", "--temp-max", "1e300", "--t-max", "1e-300", "--points", "2"]
-    assert main(argv + ["--temp-points", "2", "--output", str(out)]) == 0
+    argv += ["--temp-points", "2", "--output", str(out)]
+    assert main(argv) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == [
         ["0.00000000000e+00", "0.00000000000e+00"],
@@ -208,7 +224,24 @@ def test_huge_temperature_sweep_has_no_cancellation(tmp_path, capsys):
         ["0.00000000000e+00", "1.00000000000e+300"],
         ["1.00000000000e-300", "1.00000000000e+300"],
     ]
-    assert all(row[2:] == rows[0][2:] for row in rows)
+    assert rows[1][2:] == rows[2][2:] == rows[0][2:]
+    assert rows[3][2:] == ["1.13622987382e+00", "6.83771781656e-01"]
+    for row, (e_n, discord, _) in _reference_rows(out, argv):
+        assert row["E_N"] == pytest.approx(e_n, rel=5e-12)
+        assert row["discord"] == pytest.approx(discord, rel=5e-12)
+
+
+def test_huge_temperature_evolve_matches_reference(tmp_path, capsys):
+    # at T = 1e60 the Gibbs entries are ~1e60 and the invariants ~1e240, inside
+    # the double range; every printed row matches the reference to its 12 digits
+    pytest.importorskip("mpmath")
+    out = tmp_path / "out.csv"
+    argv = ["evolve", "--temperature", "1e60", "--output", str(out)]
+    assert main(argv) == 0
+    for row, (e_n, discord, nu_minus) in _reference_rows(out, argv):
+        assert row["E_N"] == pytest.approx(e_n, rel=5e-12, abs=1e-300)
+        assert row["discord"] == pytest.approx(discord, rel=5e-12, abs=1e-15)
+        assert row["nu_minus"] == pytest.approx(nu_minus, rel=5e-12)
 
 
 def test_unknown_flag_exits_two(capsys):

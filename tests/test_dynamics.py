@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     _block_dets,
+    _evolved_invariants,
     det4,
     drift_matrix,
     evolve_rk4,
@@ -17,7 +18,6 @@ from oracles import (
 
 from gaussbath.dynamics import (
     EnvironmentParams,
-    _evolved_invariants,
     asymptotic_covariance,
     evolution,
     propagator,

@@ -3,9 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from oracles import det4, is_physical, mp_measures
+from oracles import _evolved_invariants, _measures, det4, is_physical, mp_measures
 
-from gaussbath.dynamics import EnvironmentParams, _evolved_invariants, evolution
+from gaussbath.dynamics import EnvironmentParams, evolution
 from gaussbath.errors import DomainError, GaussBathError, InvalidParams, NonPhysical
 from gaussbath.states import (
     Branch,
@@ -13,7 +13,7 @@ from gaussbath.states import (
     MeasuredMode,
     SqueezedThermalParams,
     _ExactInvariants,
-    _measures,
+    _cell_kernel,
     build_squeezed_thermal,
     discord_invariants,
     f_entropy,
@@ -602,3 +602,25 @@ def test_cell_kernel_fails_as_public_measures(inv, error, message):
     assert _outcome(_measures, inv, MeasuredMode.MODE2) == _outcome(
         _public_measures, inv, MeasuredMode.MODE2
     )
+
+
+# ---------------------------------------------------------------- float sweep cell kernel
+
+
+@pytest.mark.parametrize(
+    "state, gibbs, x, error, message",
+    [
+        (SqueezedThermalParams(0.0, 0.0, 0.0), [(-1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)], 0.0,
+         NonPhysical, r"^non-positive partial-transpose invariant g=-1\.000e\+00$"),
+        (SqueezedThermalParams(0.0, 0.0, 0.0), [(0.1, 0.1, 0.0, 0.0)] * 2, 0.0,
+         NonPhysical, r"^2 nu_minus = 0\.2 is below 1 beyond tolerance$"),
+        (SqueezedThermalParams(0.0, 0.0, 355.0), EnvironmentParams()._gibbs_modes(), 1.0,
+         DomainError, "outside the double range"),
+    ],
+    ids=["g-negative", "below-vacuum", "overflow"],
+)
+def test_float_cell_kernel_checks(state, gibbs, x, error, message):
+    # the checks of the public measures, with their messages, on Gibbs terms
+    # no bath produces, and a value outside the double range as a DomainError
+    with pytest.raises(error, match=message):
+        _cell_kernel(state, gibbs, MeasuredMode.MODE2)(x, 1.0 - x)
